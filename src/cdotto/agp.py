@@ -11,10 +11,14 @@ stationarity condition is the linear system
 
     gram alpha = v,   gram_ab = Re Tr[C_a C_b],  v_a = -Re Tr[(dH0/dtheta) C_a]
 
-with C_a = i [O_a, H0(theta)].  ``solve_agp`` solves one such system
-directly; ``AgpSolver`` precomputes the theta-dependence (H0 is affine in
-theta, so gram and v are polynomial in theta) and serves cached per-theta
-solutions fast enough to be called once per integrator step.
+with C_a = i [O_a, H0(theta)] (Sels & Polkovnikov, PNAS 114, E3909 (2017)).
+``solve_agp`` solves one such system directly.  ``AgpSolver`` precomputes
+the theta-dependence (H0 is affine in theta, so gram and v are polynomial
+in theta) and serves cached per-theta solutions fast enough to be called
+once per integrator step.  It solves in reduced coordinates beta with
+alpha = q beta: the permutation-orbit sums for uniform endpoints, the
+strings themselves otherwise.  Every reduced solution is checked against
+the full normal equations.  All linear algebra here is numpy's.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, DomainError
 from .model import EndpointParams, dh0_dtheta, h0_at
@@ -176,11 +179,23 @@ class AgpSolver:
     H0(theta) is affine in theta, so C_a(theta) = K0_a + theta * K1_a with
     constant string content; the gram matrix is a quadratic matrix
     polynomial P0 + theta P1 + theta^2 P2 and the target is w0 + theta w1,
-    all precomputed here.  Per theta the reduced system is solved by
-    Cholesky and the result verified against the full normal equations;
-    any failure falls back to minimum-norm least squares (counted in
-    ``fallbacks``).  Solutions are cached by exact theta value; concurrent
-    cache insertion is benign (worst case a duplicate solve).
+    all precomputed here.
+
+    The solver works in reduced coordinates beta, with alpha = q beta for a
+    matrix q of orthonormal columns.  For uniform endpoints q spans the
+    site-permutation orbit sums (13 columns at N = 6, p = 4 in place of 926
+    strings); otherwise q = I and beta is alpha.  Per theta the reduced
+    system (q^T P q) beta = q^T w must pass a Cholesky factorization and is
+    then solved; the result is checked against the full normal equations,
+    g = sum_k theta^k (P_k q) beta - w0 - theta w1, with the m x r products
+    P_k q precomputed.  A failed factorization or check falls back to
+    minimum-norm least squares on the full system (counted in
+    ``fallbacks``).
+
+    The propagator uses the ``reduced_*`` members only:
+    H_CD = theta_dot * sum_B beta_B O_B with O_B = sum_a q_aB O_a, and
+    ||alpha|| = ||beta||.  Reduced solutions are cached by exact theta value;
+    concurrent cache insertion is benign (worst case a duplicate solve).
     """
 
     def __init__(self, params: EndpointParams, basis: AnsatzBasis,
@@ -193,6 +208,7 @@ class AgpSolver:
         self.residual_rtol = residual_rtol
         self.fallbacks = 0
         self._cache: dict[float, np.ndarray] = {}
+        self._full: dict[float, np.ndarray] = {}
         self._stack = None
 
         n = params.n_sites
@@ -229,31 +245,46 @@ class AgpSolver:
         if params.is_uniform():
             q = _orbit_projector(basis)
             self._q = q
-            self._r = tuple(q.T @ p @ q for p in (self._p0, self._p1, self._p2))
+            self._pq = tuple(p @ q for p in (self._p0, self._p1, self._p2))
+            self._r = tuple(q.T @ pq for pq in self._pq)
             self._u = (q.T @ self._w0, q.T @ self._w1)
         else:
             self._q = None
-            self._r = (self._p0, self._p1, self._p2)
+            self._pq = self._r = (self._p0, self._p1, self._p2)
             self._u = (self._w0, self._w1)
 
     @property
-    def imag_stack(self) -> np.ndarray:
-        """Imaginary parts of the dense basis strings (odd-Y strings are i * real)."""
+    def reduced_stack(self) -> np.ndarray:
+        """Imaginary parts of the reduced-coordinate operators O_B, shape (r, 2^N, 2^N).
+
+        Odd-Y strings are i times a real matrix, so O_B = i * reduced_stack[B].
+        Built on first use, summed string by string so the full string stack
+        is never held.
+        """
         if self._stack is None:
-            self._stack = np.stack(
-                [pattern_dense(pat).imag for pat in self.basis.strings]
-            )
+            strings = self.basis.strings
+            if self._q is None:
+                self._stack = np.stack([pattern_dense(pat).imag for pat in strings])
+            else:
+                dim = 2 ** self.basis.n_sites
+                stack = np.zeros((self._q.shape[1], dim, dim))
+                for a, b in zip(*np.nonzero(self._q)):
+                    stack[b] += self._q[a, b] * pattern_dense(strings[a]).imag
+                self._stack = stack
         return self._stack
 
-    def _full_residual(self, theta: float, alpha: np.ndarray) -> float:
-        g = self._p0 @ alpha + theta * (self._p1 @ alpha) \
-            + (theta * theta) * (self._p2 @ alpha) - self._w0 - theta * self._w1
+    def _normal_residual(self, theta: float, beta: np.ndarray) -> float:
+        """Norm of the full normal-equation residual P(theta) q beta - w(theta)."""
+        p0q, p1q, p2q = self._pq
+        g = p0q @ beta + theta * (p1q @ beta) \
+            + (theta * theta) * (p2q @ beta) - self._w0 - theta * self._w1
         return float(np.linalg.norm(g))
 
     def _target_norm(self, theta: float) -> float:
         return float(np.linalg.norm(self._w0 + theta * self._w1))
 
-    def coefficients(self, theta: float) -> np.ndarray:
+    def reduced_coefficients(self, theta: float) -> np.ndarray:
+        """Reduced solution beta(theta); repeat calls return the same read-only array."""
         theta = float(theta)
         cached = self._cache.get(theta)
         if cached is not None:
@@ -262,31 +293,46 @@ class AgpSolver:
         u0, u1 = self._u
         r = r0 + theta * (r1 + theta * r2)
         u = u0 + theta * u1
-        alpha = None
         try:
-            beta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(r), u)
-            alpha = self._q @ beta if self._q is not None else beta
+            # positive-definiteness gate; numpy has no triangular solve that
+            # could reuse the factor, so the solve factors again
+            np.linalg.cholesky(r)
+            beta = np.linalg.solve(r, u)
         except np.linalg.LinAlgError:
-            alpha = None
-        if alpha is not None:
+            beta = None
+        if beta is not None:
             tol = self.residual_rtol * (1.0 + self._target_norm(theta))
-            if not np.isfinite(alpha).all() or self._full_residual(theta, alpha) > tol:
-                alpha = None
-        if alpha is None:
+            if not np.isfinite(beta).all() or self._normal_residual(theta, beta) > tol:
+                beta = None
+        if beta is None:
             gram = self._p0 + theta * self._p1 + (theta * theta) * self._p2
             v = self._w0 + theta * self._w1
             alpha = np.linalg.lstsq(gram, v, rcond=self.rcond)[0]
+            beta = alpha if self._q is None else self._q.T @ alpha
             self.fallbacks += 1
-        alpha = np.ascontiguousarray(alpha)
-        alpha.setflags(write=False)
-        self._cache[theta] = alpha
-        return alpha
+        beta = np.ascontiguousarray(beta)
+        beta.setflags(write=False)
+        self._cache[theta] = beta
+        return beta
 
-    def coefficients_derivative(self, theta: float, delta: float = 1e-6) -> np.ndarray:
-        """Centered difference of the cached solutions, one-sided at the edges."""
+    def reduced_derivative(self, theta: float, delta: float = 1e-6) -> np.ndarray:
+        """Centered difference of the cached reduced solutions, one-sided at the edges."""
         lo = max(0.0, theta - delta)
         hi = min(1.0, theta + delta)
-        return (self.coefficients(hi) - self.coefficients(lo)) / (hi - lo)
+        return (self.reduced_coefficients(hi) - self.reduced_coefficients(lo)) / (hi - lo)
+
+    def coefficients(self, theta: float) -> np.ndarray:
+        """Full-basis solution alpha(theta) = q beta(theta); repeat calls return the same array."""
+        beta = self.reduced_coefficients(theta)
+        if self._q is None:
+            return beta
+        theta = float(theta)
+        alpha = self._full.get(theta)
+        if alpha is None:
+            alpha = self._q @ beta
+            alpha.setflags(write=False)
+            self._full[theta] = alpha
+        return alpha
 
     def residual_action(self, theta: float) -> float:
         alpha = self.coefficients(theta)
@@ -294,10 +340,9 @@ class AgpSolver:
         return self._scale * float(g @ g)
 
     def solution(self, theta: float) -> AgpSolution:
-        alpha = self.coefficients(theta)
-        res = self._full_residual(theta, alpha)
+        res = self._normal_residual(theta, self.reduced_coefficients(theta))
         return AgpSolution(
-            coefficients=alpha,
+            coefficients=self.coefficients(theta),
             residual_action=self.residual_action(theta),
             gradient_norm=2.0 * res,
             theta=theta,

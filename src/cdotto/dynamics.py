@@ -118,10 +118,14 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     ``cd`` selects the control: None runs the bare non-adiabatic sweep, an
     ``AnsatzBasis`` builds a fresh variational solver, and an ``AgpSolver``
     (for the same parameters) is reused as-is so strokes can share its
-    per-theta cache.  ``bookkeeping=True`` additionally integrates
-    Tr[rho dH_CD/dt] on the step grid (centered-difference derivative of
-    the cached gauge-potential coefficients) as a cross-check of the
-    ``w_cd`` split; it roughly triples the number of variational solves.
+    per-theta cache.  The control term is assembled in the solver's
+    reduced coordinates, H_CD = theta_dot * sum_B beta_B O_B, and its
+    squared Frobenius norm is 2^N theta_dot^2 ||beta||^2; uniform and
+    disordered endpoints differ only in the size of beta.
+    ``bookkeeping=True`` additionally integrates Tr[rho dH_CD/dt] on the
+    step grid (centered-difference derivative of the cached reduced
+    coefficients) as a cross-check of the ``w_cd`` split; it roughly
+    triples the number of variational solves.
     """
     if rho0.n_sites != params.n_sites:
         raise DimensionError("state and parameters differ in n_sites")
@@ -150,7 +154,7 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     # h0 coefficients are real, so both dense generators are real symmetric
     d0 = np.ascontiguousarray(to_dense(h0_at(params, 0.0)).real)
     dd = np.ascontiguousarray(to_dense(dh0_dtheta(params)).real)
-    stack = solver.imag_stack if solver is not None else None
+    stack = solver.reduced_stack if solver is not None else None
     fallbacks_before = solver.fallbacks if solver is not None else 0
 
     rho = np.array(rho0.matrix, dtype=complex)
@@ -172,10 +176,11 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         if solver is None:
             energies, vecs = np.linalg.eigh(d0 + th * dd)
         else:
-            alpha = solver.coefficients(th)
-            norm_sq[k] = (td * td) * scale * float(alpha @ alpha)
-            h = (d0 + th * dd).astype(complex)
-            h += (1j * td) * np.tensordot(alpha, stack, axes=1)
+            beta = solver.reduced_coefficients(th)
+            norm_sq[k] = (td * td) * scale * float(beta @ beta)
+            h = np.empty(d0.shape, dtype=complex)
+            h.real = d0 + th * dd
+            h.imag = td * np.tensordot(beta, stack, axes=1)
             energies, vecs = np.linalg.eigh(h)
         u = (vecs * np.exp((-1j * dt) * energies)) @ vecs.conj().T
         rho = u @ rho @ u.conj().T
@@ -227,8 +232,8 @@ def _bookkeeping_sample(rho, solver, stack, theta, theta_dot, theta_ddot) -> flo
         return 0.0
     if theta_dot == 0.0 and theta_ddot == 0.0:
         return 0.0
-    coeff = theta_ddot * solver.coefficients(theta) \
-        + (theta_dot * theta_dot) * solver.coefficients_derivative(theta)
+    coeff = theta_ddot * solver.reduced_coefficients(theta) \
+        + (theta_dot * theta_dot) * solver.reduced_derivative(theta)
     a_im = np.tensordot(coeff, stack, axes=1)
     # Tr[rho * (i * B)] for real antisymmetric B has real part -Im Tr[rho B]
     return -float(np.einsum("ij,ji->", rho, a_im).imag)

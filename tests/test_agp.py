@@ -241,3 +241,67 @@ class TestSolverFastPath:
         sol = solver.solution(0.4)
         assert sol.theta == 0.4
         assert sol.residual_action >= 0.0
+
+
+def dense_control_term(basis, alpha, theta_dot):
+    """theta_dot * sum_a alpha_a O_a from independently built dense strings."""
+    dim = 2 ** basis.n_sites
+    out = np.zeros((dim, dim), dtype=complex)
+    for coeff, pat in zip(alpha, basis.strings):
+        out += coeff * oracles.dense_pauli(pat)
+    return theta_dot * out
+
+
+REDUCED_CASES = [("uniform", n) for n in range(1, 7)] + [("disordered", n) for n in range(1, 5)]
+
+
+class TestReducedCoordinates:
+    @pytest.mark.parametrize("kind,n", REDUCED_CASES, ids=[f"{k}-N{n}" for k, n in REDUCED_CASES])
+    def test_reduced_control_term_matches_full_tensordot(self, kind, n):
+        params = EndpointParams.uniform(n) if kind == "uniform" else disordered_params(n)
+        theta_dot = 1.7
+        for p in range(1, min(n, 4) + 1):
+            basis = build_basis(n, p)
+            solver = AgpSolver(params, basis)
+            for theta in (0.2, 0.65):
+                beta = solver.reduced_coefficients(theta)
+                alpha = solver.coefficients(theta)
+                reduced = theta_dot * np.tensordot(beta, solver.reduced_stack, axes=1)
+                full = dense_control_term(basis, alpha, theta_dot)
+                np.testing.assert_allclose(1j * reduced, full, rtol=0, atol=1e-12)
+                assert beta @ beta == pytest.approx(alpha @ alpha, rel=1e-12)
+            if kind == "disordered":
+                assert solver.reduced_stack.shape[0] == basis.size
+        if kind == "uniform" and n == 6:
+            # 926 strings fall into 13 permutation orbits
+            assert beta.shape == (13,) and alpha.shape == (926,)
+
+    def test_full_order_matches_spectral_oracle_disordered(self):
+        for n in (2, 3, 4):
+            params = disordered_params(n, seed=n)
+            basis = build_basis(n, n)
+            solver = AgpSolver(params, basis)
+            for theta in (0.3, 0.7):
+                oracle = exact_agp(h0_at(params, theta), dh0_dtheta(params))
+                dense = dense_control_term(basis, solver.coefficients(theta), 1.0)
+                np.testing.assert_allclose(dense, oracle, rtol=0, atol=1e-10)
+            assert solver.fallbacks == 0
+
+    def test_gram_not_positive_definite_takes_counted_fallback(self):
+        # every field and coupling changes sign across the sweep, so H0(1/2) = 0:
+        # all commutators vanish there and the gram is the zero matrix
+        for params in (
+            EndpointParams.uniform(2, h_i=0.0, b_i=0.5, j_i=0.1,
+                                   h_f=0.0, b_f=-0.5, j_f=-0.1),
+            EndpointParams(h_i=[0.0, 0.0], b_i=[0.5, 0.3], j_i=[0.1],
+                           h_f=[0.0, 0.0], b_f=[-0.5, -0.3], j_f=[-0.1]),
+        ):
+            solver = AgpSolver(params, build_basis(2, 2))
+            solver.reduced_coefficients(0.3)
+            assert solver.fallbacks == 0
+            beta = solver.reduced_coefficients(0.5)
+            assert solver.fallbacks == 1
+            np.testing.assert_array_equal(beta, 0.0)
+            assert solver.reduced_coefficients(0.5) is beta
+            assert not beta.flags.writeable
+            assert solver.fallbacks == 1

@@ -1,11 +1,14 @@
 """End-to-end command-line runs: determinism, formats, manifest."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cdotto
 from cdotto.cli import CSV_COLUMNS, RunManifest, emit_results, main
 
 CONFIG = "N = 1,2\np = 0,1\ntau = 0.5\n"
@@ -56,6 +59,20 @@ class TestRun:
             assert run_cli(["run", "--config", str(config_file), "--out", str(out),
                             "--steps-per-unit-time", "400", "--workers", workers]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        "N = 3\np = 2,3\ntau = 0.5\n",
+        "N = 3\np = 1,3\ntau = 0.5\nh_i = 0.21 0.18 0.2\nb_f = 0.5 0.46 0.55\n"
+        "J_f = 0.1 0.12 0.09\n",
+    ], ids=["uniform", "disordered"])
+    def test_worker_count_does_not_change_controlled_results(self, tmp_path, text):
+        cfg = tmp_path / "cd.cfg"
+        cfg.write_text(text)
+        outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+        for out, workers in zip(outs, ("1", "2")):
+            assert run_cli(["run", "--config", str(cfg), "--out", str(out),
+                            "--steps-per-unit-time", "400", "--workers", workers]) == 0
+        assert (outs[0] / "results.csv").read_bytes() == (outs[1] / "results.csv").read_bytes()
 
     def test_json_round_trip(self, tmp_path, config_file):
         out = tmp_path / "out"
@@ -132,3 +149,17 @@ class TestEmit:
     def test_empty_json(self, tmp_path):
         results, _ = emit_results([], "json", tmp_path, self._manifest())
         assert json.loads(results.read_text()) == []
+
+
+def test_import_loads_no_scipy():
+    # numpy's BLAS is the only one the program loads; a second library
+    # brings a second thread pool that competes with numpy's
+    src = str(Path(cdotto.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, cdotto, cdotto.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
