@@ -6,79 +6,9 @@ approximate multi-spin counter-diabatic control, propagates the four-stroke
 cycle exactly at small system size, and reports heats, the work split
 between piston and control device, cooling power, coefficient of
 performance, and the control implementation cost.
+
+The command line is ``cdotto run`` (``cdotto.cli``); library users import
+the submodules (``cdotto.cycle``, ``cdotto.agp``, ...) directly.
 """
 
 __version__ = "0.1.0"
-
-from .agp import (
-    AgpSolution,
-    AgpSolver,
-    AnsatzBasis,
-    build_basis,
-    exact_agp,
-    h_cd_at,
-    solve_agp,
-)
-from .config import PRESETS, load_config
-from .cycle import (
-    AdiabaticReference,
-    CycleConfig,
-    CycleReport,
-    RunOptions,
-    SweepResult,
-    adiabatic_reference,
-    cd_cost,
-    lz_cop,
-    run_cycle,
-    sweep,
-)
-from .dynamics import (
-    DensityMatrix,
-    StrokeDiagnostics,
-    StrokeResult,
-    expectation,
-    gibbs_state,
-    propagate_stroke,
-)
-from .errors import (
-    CapacityError,
-    CdottoError,
-    ConfigError,
-    DimensionError,
-    DomainError,
-    NumericalError,
-)
-from .model import (
-    EndpointParams,
-    SweepSpec,
-    dh0_dtheta,
-    h0_at,
-    pair_index,
-    sweep_theta,
-    sweep_theta_dot,
-)
-from .paulis import (
-    DENSE_SITE_CAP,
-    OperatorSum,
-    PauliString,
-    commutator,
-    frobenius_sq,
-    hs_inner,
-    multiply,
-    to_dense,
-)
-
-__all__ = [
-    "__version__",
-    "AdiabaticReference", "AgpSolution", "AgpSolver", "AnsatzBasis",
-    "CapacityError", "CdottoError", "ConfigError", "CycleConfig",
-    "CycleReport", "DENSE_SITE_CAP", "DensityMatrix", "DimensionError",
-    "DomainError", "EndpointParams", "NumericalError", "OperatorSum",
-    "PRESETS", "PauliString", "RunOptions", "StrokeDiagnostics",
-    "StrokeResult", "SweepResult", "SweepSpec", "adiabatic_reference",
-    "build_basis", "cd_cost", "commutator", "dh0_dtheta", "exact_agp",
-    "expectation", "frobenius_sq", "gibbs_state", "h0_at", "h_cd_at",
-    "hs_inner", "load_config", "lz_cop", "multiply", "pair_index",
-    "propagate_stroke", "run_cycle", "solve_agp", "sweep", "sweep_theta",
-    "sweep_theta_dot", "to_dense",
-]

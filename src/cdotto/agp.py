@@ -12,13 +12,14 @@ stationarity condition is the linear system
     gram alpha = v,   gram_ab = Re Tr[C_a C_b],  v_a = -Re Tr[(dH0/dtheta) C_a]
 
 with C_a = i [O_a, H0(theta)] (Sels & Polkovnikov, PNAS 114, E3909 (2017)).
-``solve_agp`` solves one such system directly.  ``AgpSolver`` precomputes
-the theta-dependence (H0 is affine in theta, so gram and v are polynomial
-in theta) and serves cached per-theta solutions fast enough to be called
-once per integrator step.  It solves in reduced coordinates beta with
-alpha = q beta: the permutation-orbit sums for uniform endpoints, the
-strings themselves otherwise.  Every reduced solution is checked against
-the full normal equations.  All linear algebra here is numpy's.
+``AgpSolver`` precomputes the theta-dependence (H0 is affine in theta, so
+gram and v are polynomial in theta) and serves cached per-theta solutions
+fast enough to be called once per integrator step.  It solves in reduced
+coordinates beta with alpha = q beta: the permutation-orbit sums for
+uniform endpoints, the strings themselves otherwise.  Every reduced
+solution is checked against the full normal equations.  All linear algebra
+here is numpy's.  The tests keep a direct one-system-per-theta solve and
+the spectral gauge potential as references (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .model import EndpointParams, dh0_dtheta, h0_at
-from .paulis import OperatorSum, commutator, hs_inner, pattern_dense, to_dense
+from .paulis import OperatorSum, commutator, pattern_dense
+
+#: rcond of the minimum-norm least-squares fallback on the full system
+LSTSQ_RCOND = 1e-12
+
+#: a reduced solution is kept when the full normal-equation residual is at
+#: most this times (1 + ||w(theta)||)
+RESIDUAL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,93 +76,10 @@ def build_basis(n_sites: int, p: int) -> AnsatzBasis:
     return AnsatzBasis(n_sites, p, tuple(strings))
 
 
-@dataclass(frozen=True)
-class AgpSolution:
-    """Optimal ansatz coefficients at one value of theta.
-
-    ``residual_action`` is S at the minimum (>= 0); ``gradient_norm`` is the
-    Euclidean norm of the gradient of S there.  ``rank_deficient`` is True
-    when the gram matrix was singular and the minimum-norm solution was
-    taken, None when the solve path did not compute a rank.
-    """
-
-    coefficients: np.ndarray
-    residual_action: float
-    gradient_norm: float
-    theta: float | None = None
-    rank_deficient: bool | None = None
-
-
 def _i_commutator_real(op_pattern: tuple[str, ...], h: OperatorSum) -> OperatorSum:
     """i [O, H] for a unit-coefficient string O; real for Hermitian inputs."""
     c = commutator(OperatorSum(len(op_pattern), {op_pattern: 1.0}), h)
     return 1.0j * c
-
-
-def solve_agp(basis: AnsatzBasis, h0: OperatorSum, dh0: OperatorSum,
-              rcond: float = 1e-12) -> AgpSolution:
-    """Minimize S over the ansatz for a fixed Hamiltonian and its derivative.
-
-    Singular gram matrices (symmetric sites make distinct strings share a
-    commutator) are solved in the minimum-norm least-squares sense and
-    flagged on the returned solution.
-    """
-    if basis.n_sites != h0.n_sites or h0.n_sites != dh0.n_sites:
-        raise DimensionError("basis, h0 and dh0 must share n_sites")
-    c_ops = [_i_commutator_real(pat, h0) for pat in basis.strings]
-    m = basis.size
-    gram = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            val = hs_inner(c_ops[a], c_ops[b]).real
-            gram[a, b] = val
-            gram[b, a] = val
-    v = np.array([-hs_inner(dh0, c).real for c in c_ops])
-    coeffs, _, rank, _ = np.linalg.lstsq(gram, v, rcond=rcond)
-
-    g_op = dh0
-    for alpha, c in zip(coeffs, c_ops):
-        g_op = g_op + alpha * c
-    residual = hs_inner(g_op, g_op).real
-    grad = 2.0 * (gram @ coeffs - v)
-    return AgpSolution(
-        coefficients=coeffs,
-        residual_action=float(residual),
-        gradient_norm=float(np.linalg.norm(grad)),
-        rank_deficient=bool(rank < m),
-    )
-
-
-def exact_agp(h0: OperatorSum, dh0: OperatorSum,
-              degeneracy_tol: float | None = None) -> np.ndarray:
-    """Spectral gauge potential, the validation oracle for the variational solver.
-
-    Matrix elements are i <m|dH0|n> / (E_n - E_m); elements between levels
-    closer than ``degeneracy_tol`` (default 1e-10 times the spectral norm)
-    are zeroed, since that gauge freedom does not move populations.
-    """
-    if h0.n_sites != dh0.n_sites:
-        raise DimensionError("h0 and dh0 must share n_sites")
-    energies, vecs = np.linalg.eigh(to_dense(h0))
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-10 * max(1e-300, float(np.abs(energies).max()))
-    dh = vecs.conj().T @ to_dense(dh0) @ vecs
-    gaps = energies[None, :] - energies[:, None]
-    safe = np.abs(gaps) > degeneracy_tol
-    a_eig = np.zeros_like(dh)
-    a_eig[safe] = 1.0j * dh[safe] / gaps[safe]
-    return vecs @ a_eig @ vecs.conj().T
-
-
-def h_cd_at(solution: AgpSolution, basis: AnsatzBasis, theta_dot: float) -> OperatorSum:
-    """Control Hamiltonian theta_dot * sum_a alpha_a O_a; zero when at rest."""
-    if solution.coefficients.shape != (basis.size,):
-        raise DimensionError("solution does not match basis size")
-    return OperatorSum(
-        basis.n_sites,
-        {pat: theta_dot * alpha
-         for pat, alpha in zip(basis.strings, solution.coefficients)},
-    )
 
 
 def _orbit_projector(basis: AnsatzBasis) -> np.ndarray:
@@ -198,17 +123,13 @@ class AgpSolver:
     concurrent cache insertion is benign (worst case a duplicate solve).
     """
 
-    def __init__(self, params: EndpointParams, basis: AnsatzBasis,
-                 rcond: float = 1e-12, residual_rtol: float = 1e-8):
+    def __init__(self, params: EndpointParams, basis: AnsatzBasis):
         if params.n_sites != basis.n_sites:
             raise DimensionError("params and basis must share n_sites")
         self.params = params
         self.basis = basis
-        self.rcond = rcond
-        self.residual_rtol = residual_rtol
         self.fallbacks = 0
         self._cache: dict[float, np.ndarray] = {}
-        self._full: dict[float, np.ndarray] = {}
         self._stack = None
 
         n = params.n_sites
@@ -234,13 +155,11 @@ class AgpSolver:
         for pat, c in dh0.terms.items():
             d[col[pat]] = c.real
 
-        self._b0, self._b1, self._d = b0, b1, d
         self._p0 = scale * (b0 @ b0.T)
         self._p1 = scale * (b0 @ b1.T + b1 @ b0.T)
         self._p2 = scale * (b1 @ b1.T)
         self._w0 = -scale * (b0 @ d)
         self._w1 = -scale * (b1 @ d)
-        self._scale = scale
 
         if params.is_uniform():
             q = _orbit_projector(basis)
@@ -301,13 +220,13 @@ class AgpSolver:
         except np.linalg.LinAlgError:
             beta = None
         if beta is not None:
-            tol = self.residual_rtol * (1.0 + self._target_norm(theta))
+            tol = RESIDUAL_RTOL * (1.0 + self._target_norm(theta))
             if not np.isfinite(beta).all() or self._normal_residual(theta, beta) > tol:
                 beta = None
         if beta is None:
             gram = self._p0 + theta * self._p1 + (theta * theta) * self._p2
             v = self._w0 + theta * self._w1
-            alpha = np.linalg.lstsq(gram, v, rcond=self.rcond)[0]
+            alpha = np.linalg.lstsq(gram, v, rcond=LSTSQ_RCOND)[0]
             beta = alpha if self._q is None else self._q.T @ alpha
             self.fallbacks += 1
         beta = np.ascontiguousarray(beta)
@@ -322,29 +241,6 @@ class AgpSolver:
         return (self.reduced_coefficients(hi) - self.reduced_coefficients(lo)) / (hi - lo)
 
     def coefficients(self, theta: float) -> np.ndarray:
-        """Full-basis solution alpha(theta) = q beta(theta); repeat calls return the same array."""
+        """Full-basis solution alpha(theta) = q beta(theta)."""
         beta = self.reduced_coefficients(theta)
-        if self._q is None:
-            return beta
-        theta = float(theta)
-        alpha = self._full.get(theta)
-        if alpha is None:
-            alpha = self._q @ beta
-            alpha.setflags(write=False)
-            self._full[theta] = alpha
-        return alpha
-
-    def residual_action(self, theta: float) -> float:
-        alpha = self.coefficients(theta)
-        g = self._b0.T @ alpha + theta * (self._b1.T @ alpha) + self._d
-        return self._scale * float(g @ g)
-
-    def solution(self, theta: float) -> AgpSolution:
-        res = self._normal_residual(theta, self.reduced_coefficients(theta))
-        return AgpSolution(
-            coefficients=self.coefficients(theta),
-            residual_action=self.residual_action(theta),
-            gradient_norm=2.0 * res,
-            theta=theta,
-            rank_deficient=None,
-        )
+        return beta if self._q is None else self._q @ beta

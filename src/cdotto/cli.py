@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -45,16 +46,7 @@ class RunManifest:
     options: dict
 
     def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "config_digest": self.config_digest,
-            "grid_size": self.grid_size,
-            "workers": self.workers,
-            "started": self.started,
-            "finished": self.finished,
-            "failures": self.failures,
-            "options": self.options,
-        }
+        return asdict(self)
 
 
 def _cell(value) -> str:
@@ -68,31 +60,7 @@ def _cell(value) -> str:
 
 
 def _row_values(report: CycleReport) -> dict:
-    return {
-        "N": report.n_sites,
-        "p": report.p,
-        "tau1": report.tau1,
-        "tau3": report.tau3,
-        "tau2": report.tau2,
-        "tau4": report.tau4,
-        "Tc": report.Tc,
-        "Th": report.Th,
-        "Qc": report.Qc,
-        "Qh": report.Qh,
-        "W1": report.W1,
-        "W3": report.W3,
-        "W0_total": report.W0_total,
-        "WCD_total": report.WCD_total,
-        "J": report.J,
-        "cop": report.cop,
-        "cop_defined": report.cop_defined,
-        "cop_carnot": report.cop_carnot,
-        "Qc_adiabatic": report.Qc_adiabatic,
-        "cost1": report.cost1,
-        "cost3": report.cost3,
-        "steps": report.steps,
-        "converged": report.converged,
-    }
+    return {col: getattr(report, "n_sites" if col == "N" else col) for col in CSV_COLUMNS}
 
 
 def emit_results(reports, fmt: str, out_dir: Path, manifest: RunManifest):
@@ -123,6 +91,20 @@ def emit_results(reports, fmt: str, out_dir: Path, manifest: RunManifest):
     return results_path, manifest_path
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdotto",
@@ -136,9 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, default=Path("results"),
                      help="output directory (default: results)")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--workers", type=int, default=None,
+    run.add_argument("--workers", type=_positive_int, default=None,
                      help="worker processes (default: available parallelism)")
-    run.add_argument("--steps-per-unit-time", type=float, default=None,
+    run.add_argument("--steps-per-unit-time", type=_positive_float, default=None,
                      help="fix the integrator step rate and skip the "
                           "step-doubling convergence check")
     return parser

@@ -16,16 +16,18 @@ Schema (one ``key = value`` per line, ``#`` comments allowed):
                                       N(N-1)/2 in (j, k), j > k order); lists
                                       require a single N value
 
-``N`` and ``p`` are mandatory; everything else defaults to the reference
-operating point (Tc=0.2, Th=0.4, h_i=0.2, b_i=0, J_i=0, h_f=0, b_f=0.5,
-J_f=0.1, tau=1, tau2=tau4=0.1, nu=0.01).  Unknown keys are rejected.
-Values of p above N are accepted and clamped by the engine.
+Every number must be finite.  ``N`` and ``p`` are mandatory; everything
+else defaults to the reference operating point (Tc=0.2, Th=0.4, h_i=0.2,
+b_i=0, J_i=0, h_f=0, b_f=0.5, J_f=0.1, tau=1, tau2=tau4=0.1, nu=0.01).
+Unknown keys are rejected.  Values of p above N are accepted and clamped
+by the engine.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from .cycle import CycleConfig
 from .errors import ConfigError
@@ -69,11 +71,14 @@ def _parse_int_list(text: str, key: str, line_no: int) -> list[int]:
         raise ConfigError(f"line {line_no}: key {key!r} expects integers") from None
 
 
-def _parse_float_list(text: str, key: str, line_no: int) -> list[float]:
+def _parse_float_list(text: str, key: str, line_no: int, sep: str | None = ",") -> list[float]:
     try:
-        return [float(part.strip()) for part in text.split(",") if part.strip()]
+        vals = [float(part) for part in text.split(sep) if part.strip()]
     except ValueError:
         raise ConfigError(f"line {line_no}: key {key!r} expects numbers") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"line {line_no}: key {key!r} expects finite numbers")
+    return vals
 
 
 def parse_config_text(text: str) -> dict:
@@ -104,10 +109,7 @@ def parse_config_text(text: str) -> dict:
                 raise ConfigError(f"line {line_no}: key {key!r} expects a single number")
             raw[key] = vals[0]
         elif key in FIELD_KEYS:
-            try:
-                vals = [float(part) for part in value.split()]
-            except ValueError:
-                raise ConfigError(f"line {line_no}: key {key!r} expects numbers") from None
+            vals = _parse_float_list(value, key, line_no, sep=None)
             if not vals:
                 raise ConfigError(f"line {line_no}: key {key!r} is empty")
             raw[key] = vals
@@ -191,13 +193,6 @@ def resolve_blocks(blocks: list[dict]) -> list[CycleConfig]:
     for raw in blocks:
         configs.extend(expand_grid(raw))
     return configs
-
-
-def load_config(path) -> list[CycleConfig]:
-    """Read a config file and expand it into the cycle grid."""
-    from pathlib import Path
-
-    return expand_grid(parse_config_text(Path(path).read_text()))
 
 
 def config_digest(blocks: list[dict], options_echo: dict) -> str:

@@ -84,7 +84,6 @@ class RunOptions:
     converge: bool = True
     converge_tol: float = 1e-7
     max_doublings: int = 3
-    bookkeeping: bool = False
 
     def stroke_steps(self, tau: float) -> int:
         raw = math.ceil(self.steps_per_unit_time * tau)
@@ -200,9 +199,9 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
 
     def once(steps1: int, steps3: int):
         s1 = propagate_stroke(rho_a, cfg.params, SweepSpec(cfg.tau1), cd=solver,
-                              steps=steps1, bookkeeping=opt.bookkeeping)
+                              steps=steps1)
         s3 = propagate_stroke(rho_c, cfg.params, SweepSpec(cfg.tau3, reverse=True),
-                              cd=solver, steps=steps3, bookkeeping=opt.bookkeeping)
+                              cd=solver, steps=steps3)
         return s1, s3
 
     steps1 = opt.stroke_steps(cfg.tau1)
@@ -238,15 +237,6 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
         "gap_flag": ref.gap_flag,
         "e_a": e_a, "e_b": e_b, "e_c": e_c, "e_d": e_d,
     }
-    if opt.bookkeeping:
-        diagnostics["w_sta_quad_error"] = max(
-            abs(s1.w_sta - s1.diagnostics.w_sta_quad),
-            abs(s3.w_sta - s3.diagnostics.w_sta_quad),
-        )
-        diagnostics["w_cd_quad_error"] = max(
-            abs(s1.w_cd - s1.diagnostics.w_cd_quad),
-            abs(s3.w_cd - s3.diagnostics.w_cd_quad),
-        )
 
     return CycleReport(
         n_sites=n,
@@ -267,8 +257,8 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
         cop=(qc / w_total) if w_total > 0 else None,
         cop_carnot=cfg.Tc / (cfg.Th - cfg.Tc),
         Qc_adiabatic=ref.qc,
-        cost1=cfg.nu * s1.diagnostics.hcd_norm_sq_integral,
-        cost3=cfg.nu * s3.diagnostics.hcd_norm_sq_integral,
+        cost1=cd_cost(s1.diagnostics.hcd_times, s1.diagnostics.hcd_norm_sq, cfg.nu),
+        cost3=cd_cost(s3.diagnostics.hcd_times, s3.diagnostics.hcd_norm_sq, cfg.nu),
         steps=s1.diagnostics.steps + s3.diagnostics.steps,
         converged=converged,
         label=cfg.label,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agp import AgpSolver, AnsatzBasis
+from .agp import AgpSolver
 from .errors import DimensionError, DomainError, NumericalError
 from .model import EndpointParams, SweepSpec, dh0_dtheta, h0_at
 from .paulis import OperatorSum, to_dense
@@ -83,8 +83,11 @@ class StrokeDiagnostics:
     steps: int
     trace_drift: float
     purity_drift: float
-    #: integral of the squared Frobenius norm of the control Hamiltonian
-    hcd_norm_sq_integral: float
+    #: squared Frobenius norm of the control Hamiltonian at the interval
+    #: midpoints, padded with its zeros at the stroke ends, and the times
+    #: of those samples; the control cost is their quadrature
+    hcd_times: np.ndarray
+    hcd_norm_sq: np.ndarray
     agp_fallbacks: int
     #: quadrature cross-checks of the work split, filled when requested
     w_sta_quad: float | None = None
@@ -116,12 +119,13 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     """Drive the state through one stroke of the cycle.
 
     ``cd`` selects the control: None runs the bare non-adiabatic sweep, an
-    ``AnsatzBasis`` builds a fresh variational solver, and an ``AgpSolver``
-    (for the same parameters) is reused as-is so strokes can share its
-    per-theta cache.  The control term is assembled in the solver's
-    reduced coordinates, H_CD = theta_dot * sum_B beta_B O_B, and its
-    squared Frobenius norm is 2^N theta_dot^2 ||beta||^2; uniform and
-    disordered endpoints differ only in the size of beta.
+    ``AgpSolver`` (for the same parameters) drives it, and strokes that
+    share a solver share its per-theta cache.  The control term is
+    assembled in the solver's reduced coordinates,
+    H_CD = theta_dot * sum_B beta_B O_B, and its squared Frobenius norm is
+    2^N theta_dot^2 ||beta||^2; uniform and disordered endpoints differ only
+    in the size of beta.  The diagnostics carry that norm at the interval
+    midpoints for the control-cost quadrature.
     ``bookkeeping=True`` additionally integrates Tr[rho dH_CD/dt] on the
     step grid (centered-difference derivative of the cached reduced
     coefficients) as a cross-check of the ``w_cd`` split; it roughly
@@ -132,18 +136,12 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     if steps < MIN_STEPS:
         raise DomainError(f"steps={steps} below the minimum of {MIN_STEPS}")
 
-    solver = None
-    if cd is not None:
-        if isinstance(cd, AgpSolver):
-            solver = cd
-            if solver.params != params:
-                raise ValueError("solver was built for different endpoint parameters")
-        elif isinstance(cd, AnsatzBasis):
-            solver = AgpSolver(params, cd)
-        else:
-            raise TypeError("cd must be None, an AnsatzBasis or an AgpSolver")
-        if solver.basis.n_sites != params.n_sites:
-            raise DimensionError("control basis does not match the parameter set")
+    solver = cd
+    if solver is not None:
+        if not isinstance(solver, AgpSolver):
+            raise TypeError("cd must be None or an AgpSolver")
+        if solver.params != params:
+            raise ValueError("solver was built for different endpoint parameters")
 
     n = params.n_sites
     tau = sweep.duration
@@ -196,12 +194,6 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     w_sta = e_end - e_start
     w_cd = w_sta - w_0
 
-    # control-cost integrand on the midpoint samples; it vanishes exactly at
-    # the stroke ends because the sweep rate does
-    cost_t = np.concatenate(([0.0], grid.t_mid, [tau]))
-    cost_f = np.concatenate(([0.0], norm_sq, [0.0]))
-    hcd_sq = float(np.trapezoid(cost_f, cost_t))
-
     w_cd_quad = w_sta_quad = None
     if bookkeeping:
         w_cd_quad = float(np.trapezoid(f_cd, dx=dt))
@@ -212,7 +204,10 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         steps=steps,
         trace_drift=abs(float(np.trace(rho).real) - 1.0),
         purity_drift=abs(final.purity - purity_start),
-        hcd_norm_sq_integral=hcd_sq,
+        # the control term vanishes exactly at the stroke ends because the
+        # sweep rate does
+        hcd_times=np.concatenate(([0.0], grid.t_mid, [tau])),
+        hcd_norm_sq=np.concatenate(([0.0], norm_sq, [0.0])),
         agp_fallbacks=(solver.fallbacks - fallbacks_before) if solver is not None else 0,
         w_sta_quad=w_sta_quad,
         w_cd_quad=w_cd_quad,

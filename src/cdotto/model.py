@@ -213,16 +213,6 @@ class SweepSpec:
         if self.duration <= 0:
             raise DomainError("stroke duration must be positive")
 
-    def theta(self, t: float) -> float:
-        if self.reverse:
-            return sweep_theta(self.duration - t, self.duration)
-        return sweep_theta(t, self.duration)
-
-    def theta_dot(self, t: float) -> float:
-        if self.reverse:
-            return -sweep_theta_dot(self.duration - t, self.duration)
-        return sweep_theta_dot(t, self.duration)
-
     def grid(self, steps: int) -> StrokeGrid:
         """Evaluate the profile on a uniform grid.
 

@@ -12,7 +12,6 @@ pure function, so they are safe to share across threads and processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -63,40 +62,6 @@ def _check_letters(letters: tuple[str, ...]) -> None:
             raise ValueError(f"unknown Pauli letter {s!r}")
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """A tensor product of single-site Pauli operators with a scalar coefficient.
-
-    ``letters`` holds one symbol from ``I, X, Y, Z`` per site; site 0 is the
-    leftmost letter and the most significant factor of the Kronecker product.
-    """
-
-    letters: tuple[str, ...]
-    coefficient: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        _check_letters(self.letters)
-        object.__setattr__(self, "letters", tuple(self.letters))
-        object.__setattr__(self, "coefficient", complex(self.coefficient))
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.letters)
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return sum(1 for s in self.letters if s != "I")
-
-    @property
-    def y_parity(self) -> int:
-        """Number of Y letters modulo 2."""
-        return sum(1 for s in self.letters if s == "Y") % 2
-
-    def __repr__(self):
-        return f"PauliString({''.join(self.letters)}, {self.coefficient})"
-
-
 def _mul_letters(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[complex, tuple[str, ...]]:
     phase = 1.0 + 0.0j
     out = []
@@ -115,14 +80,6 @@ def _anticommute(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
         if sa != "I" and sb != "I" and sa != sb:
             count += 1
     return count % 2 == 1
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product of two Pauli strings, phase folded into the coefficient."""
-    if a.n_sites != b.n_sites:
-        raise DimensionError(f"site counts differ: {a.n_sites} vs {b.n_sites}")
-    phase, letters = _mul_letters(a.letters, b.letters)
-    return PauliString(letters, a.coefficient * b.coefficient * phase)
 
 
 class OperatorSum:
@@ -153,18 +110,6 @@ class OperatorSum:
         self._n_sites = n_sites
         self._terms = dict(sorted(pruned.items()))
 
-    @classmethod
-    def from_strings(cls, strings) -> "OperatorSum":
-        strings = list(strings)
-        if not strings:
-            raise DimensionError("cannot infer n_sites from an empty string list")
-        n = strings[0].n_sites
-        return cls(n, [(s.letters, s.coefficient) for s in strings])
-
-    @classmethod
-    def zero(cls, n_sites: int) -> "OperatorSum":
-        return cls(n_sites)
-
     @property
     def n_sites(self) -> int:
         return self._n_sites
@@ -188,9 +133,6 @@ class OperatorSum:
         if not isinstance(other, OperatorSum):
             return NotImplemented
         return self._n_sites == other._n_sites and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self._n_sites, tuple(self._terms.items())))
 
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         if self._n_sites != other._n_sites:
@@ -258,13 +200,6 @@ def hs_inner(a: OperatorSum, b: OperatorSum) -> complex:
     return (2.0 ** a.n_sites) * acc
 
 
-def frobenius_sq(a: OperatorSum) -> float:
-    """Squared Frobenius norm Tr[a^dagger a] = 2^N * sum |coeff|^2."""
-    return (2.0 ** a.n_sites) * float(
-        sum((c * np.conj(c)).real for c in a.terms.values())
-    )
-
-
 def pattern_dense(letters: tuple[str, ...]) -> np.ndarray:
     """Dense matrix of a unit-coefficient Pauli string."""
     out = SINGLE_SITE[letters[0]]
@@ -273,11 +208,11 @@ def pattern_dense(letters: tuple[str, ...]) -> np.ndarray:
     return out
 
 
-def to_dense(a: OperatorSum, site_cap: int = DENSE_SITE_CAP) -> np.ndarray:
+def to_dense(a: OperatorSum) -> np.ndarray:
     """Dense 2^N x 2^N realization; Hermitian when coefficients are real."""
-    if a.n_sites > site_cap:
+    if a.n_sites > DENSE_SITE_CAP:
         raise CapacityError(
-            f"dense realization of {a.n_sites} sites exceeds cap of {site_cap}"
+            f"dense realization of {a.n_sites} sites exceeds cap of {DENSE_SITE_CAP}"
         )
     dim = 2 ** a.n_sites
     out = np.zeros((dim, dim), dtype=complex)

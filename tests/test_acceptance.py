@@ -212,8 +212,9 @@ def test_criterion_8_property_suite():
             problems.append(f"purity drift {rep.diagnostics['purity_drift']:.2e}")
 
     # variational optimality under random perturbations (independent dense S)
-    from cdotto.agp import build_basis, exact_agp, solve_agp
+    from cdotto.agp import build_basis
     from cdotto.model import dh0_dtheta, h0_at
+    from oracles import exact_agp, solve_agp
     rng = np.random.default_rng(41)
     params = EndpointParams.uniform(3)
     basis = build_basis(3, 2)

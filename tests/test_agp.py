@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
-from cdotto.agp import AgpSolver, build_basis, exact_agp, h_cd_at, solve_agp
+from cdotto.agp import AgpSolver, build_basis
 from cdotto.errors import DomainError
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
 from cdotto.paulis import OperatorSum, commutator
+from oracles import exact_agp, solve_agp
 
 from test_model import disordered_params
 
@@ -181,30 +182,6 @@ class TestExactAgp:
                 np.testing.assert_allclose(dense, exact_agp(h0, dh0), atol=1e-8)
 
 
-class TestControlTerm:
-    def test_zero_rate_gives_zero_operator(self):
-        params = EndpointParams.uniform(2)
-        basis = build_basis(2, 1)
-        sol = solve_agp(basis, h0_at(params, 0.5), dh0_dtheta(params))
-        assert h_cd_at(sol, basis, 0.0).is_zero()
-
-    def test_scaling(self):
-        basis = build_basis(1, 1)
-        from cdotto.agp import AgpSolution
-        sol = AgpSolution(coefficients=np.array([2.0]), residual_action=0.0,
-                          gradient_norm=0.0)
-        assert dict(h_cd_at(sol, basis, 1.0).terms) == {("Y",): 2.0}
-
-    def test_midpoint_prefactor(self):
-        basis = build_basis(1, 1)
-        from cdotto.agp import AgpSolution
-        from cdotto.model import sweep_theta_dot
-        sol = AgpSolution(coefficients=np.array([1.0]), residual_action=0.0,
-                          gradient_norm=0.0)
-        op = h_cd_at(sol, basis, sweep_theta_dot(0.5, 1.0))
-        assert op.terms[("Y",)] == pytest.approx(np.pi ** 2 / 4, abs=1e-14)
-
-
 class TestSolverFastPath:
     def test_matches_direct_solve_uniform(self):
         params = EndpointParams.uniform(3)
@@ -212,10 +189,10 @@ class TestSolverFastPath:
         solver = AgpSolver(params, basis)
         for theta in (0.15, 0.5, 0.85):
             direct = solve_agp(basis, h0_at(params, theta), dh0_dtheta(params))
-            np.testing.assert_allclose(
-                solver.coefficients(theta), direct.coefficients, atol=1e-10
-            )
-            assert solver.residual_action(theta) == pytest.approx(
+            alpha = solver.coefficients(theta)
+            np.testing.assert_allclose(alpha, direct.coefficients, atol=1e-10)
+            h0, dh0 = h0_at(params, theta), dh0_dtheta(params)
+            assert dense_action(3, h0, dh0, basis, alpha) == pytest.approx(
                 direct.residual_action, rel=1e-9, abs=1e-12
             )
 
@@ -232,15 +209,8 @@ class TestSolverFastPath:
     def test_cache_returns_same_array(self):
         params = EndpointParams.uniform(2)
         solver = AgpSolver(params, build_basis(2, 2))
-        a = solver.coefficients(0.5)
-        assert solver.coefficients(0.5) is a
-
-    def test_solution_metadata(self):
-        params = EndpointParams.uniform(2)
-        solver = AgpSolver(params, build_basis(2, 2))
-        sol = solver.solution(0.4)
-        assert sol.theta == 0.4
-        assert sol.residual_action >= 0.0
+        beta = solver.reduced_coefficients(0.5)
+        assert solver.reduced_coefficients(0.5) is beta
 
 
 def dense_control_term(basis, alpha, theta_dot):

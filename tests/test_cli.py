@@ -124,6 +124,26 @@ class TestRun:
         assert run_cli(["run", "--config", str(cfg)]) == 2
         assert "missing required keys" in capsys.readouterr().err
 
+    def test_non_finite_config_value_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("N = 1\np = 0\nTc = nan\n")
+        assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "error: line 3: key 'Tc' expects finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "0"), ("--workers", "-3"),
+        ("--steps-per-unit-time", "0"), ("--steps-per-unit-time", "-5"),
+        ("--steps-per-unit-time", "nan"), ("--steps-per-unit-time", "inf"),
+    ])
+    def test_out_of_range_arguments_are_rejected(self, tmp_path, config_file, capsys,
+                                                 flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", str(config_file), "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_console_entry_point(self, config_file, tmp_path):
         out = tmp_path / "out"
         proc = subprocess.run(

@@ -2,11 +2,11 @@
 
 import pytest
 
+from cdotto.cli import main
 from cdotto.config import (
     PRESETS,
     config_digest,
     expand_grid,
-    load_config,
     parse_config_text,
     resolve_blocks,
 )
@@ -37,6 +37,16 @@ class TestParse:
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("N 2\n")
+
+    @pytest.mark.parametrize("line,key", [
+        ("Tc = nan", "Tc"),
+        ("tau = 1, inf", "tau"),
+        ("tau1 = -inf", "tau1"),
+        ("h_i = 0.2 nan 0.2", "h_i"),
+    ])
+    def test_non_finite_values_name_line_and_key(self, line, key):
+        with pytest.raises(ConfigError, match=f"line 3: key '{key}' expects finite numbers"):
+            parse_config_text(f"N = 3\np = 0\n{line}\n")
 
     def test_field_vector_parsing(self):
         raw = parse_config_text("N = 3\np = 1\nh_i = 0.1 0.2 0.3\n")
@@ -103,17 +113,22 @@ class TestExpand:
 
 
 class TestLoadConfig:
+    """A config file as ``cdotto run --config`` reads it."""
+
     def test_reads_and_expands(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("N = 1,2\np = 0\n")
-        configs = load_config(path)
-        assert [c.n_sites for c in configs] == [1, 2]
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out), "--workers", "1",
+                     "--steps-per-unit-time", "400"]) == 0
+        rows = (out / "results.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2"]
 
-    def test_empty_file_names_missing_keys(self, tmp_path):
+    def test_empty_file_names_missing_keys(self, tmp_path, capsys):
         path = tmp_path / "empty.cfg"
         path.write_text("")
-        with pytest.raises(ConfigError, match="missing required keys: N, p"):
-            load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "missing required keys: N, p" in capsys.readouterr().err
 
 
 class TestPresets:

@@ -103,7 +103,7 @@ class TestPropagation:
     def test_transitionless_tracking_single_site(self):
         rho = gibbs_state(h0_at(PARAMS1, 0.0), 0.2)
         res = propagate_stroke(rho, PARAMS1, SweepSpec(1.0),
-                               cd=build_basis(1, 1), steps=2000)
+                               cd=AgpSolver(PARAMS1, build_basis(1, 1)), steps=2000)
         pops_start = np.sort(np.linalg.eigvalsh(rho.matrix))
         w, v = np.linalg.eigh(to_dense(h0_at(PARAMS1, 1.0)))
         pops_end = np.sort(np.diag(v.conj().T @ res.final_state.matrix @ v).real)
@@ -112,19 +112,19 @@ class TestPropagation:
     def test_exact_control_splits_work_cleanly(self):
         rho = gibbs_state(h0_at(PARAMS2, 0.0), 0.2)
         res = propagate_stroke(rho, PARAMS2, SweepSpec(1.0),
-                               cd=build_basis(2, 2), steps=2000)
+                               cd=AgpSolver(PARAMS2, build_basis(2, 2)), steps=2000)
         assert abs(res.w_cd) <= 1e-6 * max(abs(res.w_sta), 0.2)
 
     def test_work_split_identity_is_exact(self):
         rho = gibbs_state(h0_at(PARAMS2, 0.0), 0.2)
         res = propagate_stroke(rho, PARAMS2, SweepSpec(0.7),
-                               cd=build_basis(2, 1), steps=500)
+                               cd=AgpSolver(PARAMS2, build_basis(2, 1)), steps=500)
         assert res.w_sta == res.w_0 + res.w_cd
 
     def test_unitarity_drifts(self):
         rho = gibbs_state(h0_at(PARAMS2, 0.0), 0.2)
         res = propagate_stroke(rho, PARAMS2, SweepSpec(1.0),
-                               cd=build_basis(2, 2), steps=2000)
+                               cd=AgpSolver(PARAMS2, build_basis(2, 2)), steps=2000)
         assert res.diagnostics.trace_drift <= 1e-10
         assert res.diagnostics.purity_drift <= 1e-10
 
@@ -142,7 +142,7 @@ class TestPropagation:
         params = EndpointParams.uniform(3)
         rho = gibbs_state(h0_at(params, 0.0), 0.2)
         res = propagate_stroke(rho, params, SweepSpec(1.0),
-                               cd=build_basis(3, 3), steps=2000)
+                               cd=AgpSolver(params, build_basis(3, 3)), steps=2000)
         w, v = np.linalg.eigh(to_dense(h0_at(params, 1.0)))
         in_basis = v.conj().T @ res.final_state.matrix @ v
         distinct = np.abs(w[:, None] - w[None, :]) > 1e-9
@@ -164,11 +164,17 @@ class TestPropagation:
         params = EndpointParams.uniform(3)
         rho = gibbs_state(h0_at(params, 0.0), 0.2)
         res = propagate_stroke(rho, params, SweepSpec(1.0),
-                               cd=build_basis(3, 1), steps=2000, bookkeeping=True)
+                               cd=AgpSolver(params, build_basis(3, 1)), steps=2000,
+                               bookkeeping=True)
         # the quadrature reproduces both the endpoint-energy work and the split
         assert res.diagnostics.w_sta_quad == pytest.approx(res.w_sta, abs=1e-6)
         assert res.diagnostics.w_cd_quad == pytest.approx(res.w_cd, abs=1e-6)
         assert abs(res.w_cd) > 1e-2  # first-order control is genuinely inexact here
+
+    def test_control_must_be_a_solver(self):
+        rho = gibbs_state(h0_at(PARAMS1, 0.0), 0.2)
+        with pytest.raises(TypeError):
+            propagate_stroke(rho, PARAMS1, SweepSpec(1.0), cd=build_basis(1, 1), steps=200)
 
     def test_solver_reuse_requires_matching_params(self):
         solver = AgpSolver(PARAMS2, build_basis(2, 2))

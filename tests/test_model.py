@@ -195,8 +195,10 @@ class TestSweepSpec:
         np.testing.assert_array_equal(rev.theta_dot_mid, -fwd.theta_dot_mid[::-1])
 
     def test_reverse_scalar_profile(self):
-        spec = SweepSpec(2.0, reverse=True)
-        assert spec.theta(0.0) == 1.0
-        assert spec.theta(2.0) == 0.0
-        assert spec.theta(0.6) == pytest.approx(1.0 - sweep_theta(0.6, 2.0), abs=1e-14)
-        assert spec.theta_dot(0.5) == pytest.approx(-sweep_theta_dot(1.5, 2.0), abs=1e-14)
+        # theta_rev(t) = theta_fwd(tau - t) = 1 - theta_fwd(t) on the reverse grid's own times
+        grid = SweepSpec(2.0, reverse=True).grid(10)
+        assert grid.theta[0] == 1.0 and grid.theta[-1] == 0.0
+        np.testing.assert_allclose(grid.theta, 1.0 - sweep_theta(grid.t, 2.0),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(grid.theta_dot, -sweep_theta_dot(2.0 - grid.t, 2.0),
+                                   rtol=0, atol=1e-14)

@@ -1,81 +1,17 @@
 """Symbolic Pauli algebra checked against dense Kronecker-product oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from cdotto.errors import CapacityError, DimensionError
-from cdotto.paulis import (
-    OperatorSum,
-    PauliString,
-    commutator,
-    frobenius_sq,
-    hs_inner,
-    multiply,
-    to_dense,
-)
+from cdotto.paulis import OperatorSum, commutator, hs_inner, to_dense
 
 
 def random_letters(rng, n):
     return tuple(rng.choice(("I", "X", "Y", "Z")) for _ in range(n))
-
-
-class TestMultiply:
-    def test_single_site_table(self):
-        res = multiply(PauliString(("X",)), PauliString(("Y",)))
-        assert res.letters == ("Z",)
-        assert res.coefficient == 1j
-
-    def test_disjoint_supports_commute(self):
-        res = multiply(PauliString(("X", "I")), PauliString(("I", "Z")))
-        assert res.letters == ("X", "Z")
-        assert res.coefficient == 1
-
-    def test_involution(self):
-        res = multiply(PauliString(("Y",)), PauliString(("Y",)))
-        assert res.letters == ("I",)
-        assert res.coefficient == 1
-
-    def test_size_mismatch(self):
-        with pytest.raises(DimensionError):
-            multiply(PauliString(("X",)), PauliString(("X", "I")))
-
-    def test_matches_dense_products(self):
-        rng = np.random.default_rng(7)
-        for n in (1, 2, 3, 4):
-            for _ in range(15):
-                a, b = random_letters(rng, n), random_letters(rng, n)
-                res = multiply(PauliString(a), PauliString(b))
-                got = res.coefficient * oracles.dense_pauli(res.letters)
-                want = oracles.dense_pauli(a) @ oracles.dense_pauli(b)
-                np.testing.assert_allclose(got, want, atol=1e-14)
-
-    def test_order_swap_is_at_most_a_sign(self):
-        rng = np.random.default_rng(11)
-        for _ in range(60):
-            a, b = random_letters(rng, 3), random_letters(rng, 3)
-            ab = multiply(PauliString(a), PauliString(b))
-            ba = multiply(PauliString(b), PauliString(a))
-            overlap = sum(
-                1 for sa, sb in zip(a, b) if sa != "I" and sb != "I" and sa != sb
-            )
-            sign = -1 if overlap % 2 else 1
-            assert ab.letters == ba.letters
-            assert ab.coefficient == sign * ba.coefficient
-
-    @given(
-        st.tuples(*([st.sampled_from("IXYZ")] * 2)),
-        st.tuples(*([st.sampled_from("IXYZ")] * 2)),
-        st.tuples(*([st.sampled_from("IXYZ")] * 2)),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_associative(self, a, b, c):
-        left = multiply(multiply(PauliString(a), PauliString(b)), PauliString(c))
-        right = multiply(PauliString(a), multiply(PauliString(b), PauliString(c)))
-        assert left.letters == right.letters
-        assert left.coefficient == right.coefficient
 
 
 class TestOperatorSum:
@@ -122,6 +58,33 @@ class TestCommutator:
             oracles.dense_operator(2, res.terms), da @ db - db @ da, atol=1e-14
         )
 
+    def test_matches_dense_commutator(self):
+        # every pair of strings on one and two sites, so each entry of the
+        # single-site product table meets an anticommuting partner, then
+        # random sums on three and four sites
+        def check(a, b):
+            n = a.n_sites
+            da = oracles.dense_operator(n, a.terms)
+            db = oracles.dense_operator(n, b.terms)
+            np.testing.assert_allclose(
+                oracles.dense_operator(n, commutator(a, b).terms), da @ db - db @ da,
+                rtol=0, atol=1e-13,
+            )
+
+        for n in (1, 2):
+            for pa, pb in itertools.product(itertools.product("IXYZ", repeat=n), repeat=2):
+                check(OperatorSum(n, {pa: 1.0}), OperatorSum(n, {pb: 1.0}))
+        rng = np.random.default_rng(7)
+        for n in (3, 4):
+            for _ in range(15):
+                a, b = (OperatorSum(n, {random_letters(rng, n): complex(*rng.standard_normal(2))
+                                        for _ in range(4)}) for _ in range(2))
+                check(a, b)
+
+    def test_size_mismatch(self):
+        with pytest.raises(DimensionError):
+            commutator(OperatorSum(1, {("X",): 1.0}), OperatorSum(2, {("X", "I"): 1.0}))
+
     def test_antisymmetry_random(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -160,8 +123,8 @@ class TestHsInner:
     def test_positivity_and_zero(self):
         a = OperatorSum(2, {("X", "Y"): 1.0 + 0.5j})
         assert hs_inner(a, a).real > 0
-        assert hs_inner(a, a).real == pytest.approx(frobenius_sq(a))
-        assert frobenius_sq(OperatorSum.zero(2)) == 0.0
+        assert hs_inner(a, a).real == pytest.approx(4.0 * abs(1.0 + 0.5j) ** 2)
+        assert hs_inner(OperatorSum(2), OperatorSum(2)) == 0.0
 
     def test_matches_dense_trace(self):
         rng = np.random.default_rng(13)
