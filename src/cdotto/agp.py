@@ -234,12 +234,6 @@ class AgpSolver:
         self._cache[theta] = beta
         return beta
 
-    def reduced_derivative(self, theta: float, delta: float = 1e-6) -> np.ndarray:
-        """Centered difference of the cached reduced solutions, one-sided at the edges."""
-        lo = max(0.0, theta - delta)
-        hi = min(1.0, theta + delta)
-        return (self.reduced_coefficients(hi) - self.reduced_coefficients(lo)) / (hi - lo)
-
     def coefficients(self, theta: float) -> np.ndarray:
         """Full-basis solution alpha(theta) = q beta(theta)."""
         beta = self.reduced_coefficients(theta)

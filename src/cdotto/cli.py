@@ -45,9 +45,6 @@ class RunManifest:
     failures: list
     options: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _cell(value) -> str:
     if value is None:
@@ -86,7 +83,7 @@ def emit_results(reports, fmt: str, out_dir: Path, manifest: RunManifest):
         raise ConfigError(f"unknown output format {fmt!r}")
     manifest_path = out_dir / "manifest.json"
     with manifest_path.open("w") as fh:
-        json.dump(manifest.to_dict(), fh, indent=1)
+        json.dump(asdict(manifest), fh, indent=1)
         fh.write("\n")
     return results_path, manifest_path
 
@@ -132,7 +129,12 @@ def _resolve_inputs(args):
         blocks = [parse_config_text(text) for text in PRESETS[args.preset]]
     overrides: dict = {}
     if args.config is not None:
-        overrides = parse_config_text(args.config.read_text())
+        try:
+            text = args.config.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text "
+                              f"(byte {exc.object[exc.start]:#04x} at offset {exc.start})") from None
+        overrides = parse_config_text(text)
     if blocks:
         for block in blocks:
             block.update(overrides)

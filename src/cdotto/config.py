@@ -8,7 +8,8 @@ Schema (one ``key = value`` per line, ``#`` comments allowed):
   stroke times   tau1, tau3           scalars, alternative to tau
                  tau2, tau4           thermalization durations
   temperatures   Tc, Th               require 0 < Tc < Th
-  cost           nu                   prefactor of the control cost integral
+  cost           nu                   prefactor of the control cost integral,
+                                      nu >= 0
   endpoints      h_i b_i J_i h_f b_f J_f
                                       scalar (uniform) or a space-separated
                                       per-site list (fields, length N) or
@@ -30,7 +31,7 @@ import json
 import math
 
 from .cycle import CycleConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .model import EndpointParams
 
 GRID_KEYS = ("N", "p", "tau")
@@ -140,9 +141,6 @@ def expand_grid(raw: dict) -> list[CycleConfig]:
     for n in n_list:
         if n < 1:
             raise ConfigError(f"N must be >= 1, got {n}")
-    for p in p_list:
-        if p < 0:
-            raise ConfigError(f"p must be >= 0, got {p}")
 
     if "tau" in raw and ("tau1" in raw or "tau3" in raw):
         raise ConfigError("give either 'tau' or 'tau1'/'tau3', not both")
@@ -152,15 +150,7 @@ def expand_grid(raw: dict) -> list[CycleConfig]:
         tau_pairs = [(raw["tau1"], raw["tau3"])]
     else:
         tau_pairs = [(t, t) for t in raw.get("tau", DEFAULTS["tau"])]
-    for t1, t3 in tau_pairs:
-        if t1 <= 0 or t3 <= 0:
-            raise ConfigError("stroke durations must be positive")
-
     scalars = {key: raw.get(key, DEFAULTS[key]) for key in ("tau2", "tau4", "Tc", "Th", "nu")}
-    if scalars["Tc"] >= scalars["Th"] or scalars["Tc"] <= 0:
-        raise ConfigError(f"need 0 < Tc < Th, got Tc={scalars['Tc']}, Th={scalars['Th']}")
-    if scalars["tau2"] <= 0 or scalars["tau4"] <= 0:
-        raise ConfigError("thermalization durations must be positive")
 
     configs = []
     for n in n_list:
@@ -178,12 +168,13 @@ def expand_grid(raw: dict) -> list[CycleConfig]:
         )
         for p in p_list:
             for t1, t3 in tau_pairs:
-                configs.append(CycleConfig(
-                    params=params, p=p, tau1=t1, tau3=t3,
-                    tau2=scalars["tau2"], tau4=scalars["tau4"],
-                    Tc=scalars["Tc"], Th=scalars["Th"], nu=scalars["nu"],
-                    label=f"N={n},p={p},tau1={t1},tau3={t3}",
-                ))
+                try:
+                    configs.append(CycleConfig(
+                        params=params, p=p, tau1=t1, tau3=t3, **scalars,
+                        label=f"N={n},p={p},tau1={t1},tau3={t3}",
+                    ))
+                except DomainError as exc:
+                    raise ConfigError(str(exc)) from None
     return configs
 
 

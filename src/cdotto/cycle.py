@@ -1,4 +1,4 @@
-"""Four-stroke refrigeration cycle and its thermodynamic bookkeeping.
+"""Four-stroke refrigeration cycle and its heat and work accounting.
 
 Sign conventions, fixed once: every heat is energy gained by the working
 medium from the bath during an isochore, every work is energy gained by the
@@ -52,7 +52,9 @@ class CycleConfig:
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         if self.p < 0:
-            raise DomainError("control order p must be >= 0")
+            raise DomainError(f"control order p must be >= 0, got {self.p}")
+        if self.nu < 0:
+            raise DomainError(f"control cost prefactor nu must be >= 0, got {self.nu}")
 
     @property
     def n_sites(self) -> int:
@@ -166,13 +168,6 @@ def adiabatic_reference(cfg: CycleConfig) -> AdiabaticReference:
         gap_flag=bool(gap < 1e-9),
         energies=(e_a, e_b, e_c, e_d),
     )
-
-
-def lz_cop(h_xi: float, b_zf: float) -> float:
-    """Two-level coefficient of performance h_xi / (b_zf - h_xi)."""
-    if not (b_zf > h_xi > 0):
-        raise DomainError(f"need b_zf > h_xi > 0, got h_xi={h_xi}, b_zf={b_zf}")
-    return h_xi / (b_zf - h_xi)
 
 
 def cd_cost(times: np.ndarray, hcd_norm_sq: np.ndarray, nu: float) -> float:

@@ -71,13 +71,6 @@ def gibbs_state(h: OperatorSum, temperature: float) -> DensityMatrix:
     return DensityMatrix(h.n_sites, rho)
 
 
-def expectation(rho: DensityMatrix, h: OperatorSum) -> float:
-    """Re Tr[rho H]; the imaginary part is roundoff for Hermitian inputs."""
-    if rho.n_sites != h.n_sites:
-        raise DimensionError(f"site counts differ: {rho.n_sites} vs {h.n_sites}")
-    return _re_trace_product(rho.matrix, to_dense(h))
-
-
 @dataclass(frozen=True)
 class StrokeDiagnostics:
     steps: int
@@ -89,14 +82,11 @@ class StrokeDiagnostics:
     hcd_times: np.ndarray
     hcd_norm_sq: np.ndarray
     agp_fallbacks: int
-    #: quadrature cross-checks of the work split, filled when requested
-    w_sta_quad: float | None = None
-    w_cd_quad: float | None = None
 
 
 @dataclass(frozen=True)
 class StrokeResult:
-    """One isentropic stroke: final state, work split and bookkeeping.
+    """One isentropic stroke: final state, endpoint energies and work split.
 
     ``w_sta`` is the endpoint energy difference under the full driven
     Hamiltonian (the control term vanishes at both stroke ends), ``w_0``
@@ -114,8 +104,7 @@ class StrokeResult:
 
 
 def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSpec,
-                     cd=None, steps: int = 2000, *,
-                     bookkeeping: bool = False) -> StrokeResult:
+                     cd=None, steps: int = 2000) -> StrokeResult:
     """Drive the state through one stroke of the cycle.
 
     ``cd`` selects the control: None runs the bare non-adiabatic sweep, an
@@ -125,11 +114,9 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     H_CD = theta_dot * sum_B beta_B O_B, and its squared Frobenius norm is
     2^N theta_dot^2 ||beta||^2; uniform and disordered endpoints differ only
     in the size of beta.  The diagnostics carry that norm at the interval
-    midpoints for the control-cost quadrature.
-    ``bookkeeping=True`` additionally integrates Tr[rho dH_CD/dt] on the
-    step grid (centered-difference derivative of the cached reduced
-    coefficients) as a cross-check of the ``w_cd`` split; it roughly
-    triples the number of variational solves.
+    midpoints for the control-cost quadrature.  The control device's work
+    is the remainder ``w_cd = w_sta - w_0``; the tests check it against an
+    independent quadrature of Tr[rho dH_CD/dt] (``tests/oracles.py``).
     """
     if rho0.n_sites != params.n_sites:
         raise DimensionError("state and parameters differ in n_sites")
@@ -163,11 +150,6 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     f0[0] = grid.theta_dot[0] * _re_trace_product(rho, dd)
     norm_sq = np.zeros(steps)
 
-    if bookkeeping:
-        f_cd = np.empty(steps + 1)
-        f_cd[0] = _bookkeeping_sample(rho, solver, stack, grid.theta[0],
-                                      grid.theta_dot[0], grid.theta_ddot[0])
-
     for k in range(steps):
         th = grid.theta_mid[k]
         td = grid.theta_dot_mid[k]
@@ -185,19 +167,11 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         if not np.isfinite(rho).all():
             raise NumericalError(f"non-finite state at step {k + 1} of {steps}")
         f0[k + 1] = grid.theta_dot[k + 1] * _re_trace_product(rho, dd)
-        if bookkeeping:
-            f_cd[k + 1] = _bookkeeping_sample(rho, solver, stack, grid.theta[k + 1],
-                                              grid.theta_dot[k + 1], grid.theta_ddot[k + 1])
 
     w_0 = float(np.trapezoid(f0, dx=dt))
     e_end = _re_trace_product(rho, d0 + grid.theta[-1] * dd)
     w_sta = e_end - e_start
     w_cd = w_sta - w_0
-
-    w_cd_quad = w_sta_quad = None
-    if bookkeeping:
-        w_cd_quad = float(np.trapezoid(f_cd, dx=dt))
-        w_sta_quad = w_0 + w_cd_quad
 
     final = DensityMatrix(n, rho)
     diag = StrokeDiagnostics(
@@ -209,26 +183,7 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         hcd_times=np.concatenate(([0.0], grid.t_mid, [tau])),
         hcd_norm_sq=np.concatenate(([0.0], norm_sq, [0.0])),
         agp_fallbacks=(solver.fallbacks - fallbacks_before) if solver is not None else 0,
-        w_sta_quad=w_sta_quad,
-        w_cd_quad=w_cd_quad,
     )
     return StrokeResult(final_state=final, w_sta=w_sta, w_0=w_0, w_cd=w_cd,
                         e_start=e_start, e_end=e_end, diagnostics=diag)
 
-
-def _bookkeeping_sample(rho, solver, stack, theta, theta_dot, theta_ddot) -> float:
-    """Tr[rho dH_CD/dt] at one grid point.
-
-    dH_CD/dt = theta_ddot * A + theta_dot^2 * dA/dtheta with A the gauge
-    potential; both rates vanish at the stroke ends, so the sample is zero
-    there regardless of A.
-    """
-    if solver is None:
-        return 0.0
-    if theta_dot == 0.0 and theta_ddot == 0.0:
-        return 0.0
-    coeff = theta_ddot * solver.reduced_coefficients(theta) \
-        + (theta_dot * theta_dot) * solver.reduced_derivative(theta)
-    a_im = np.tensordot(coeff, stack, axes=1)
-    # Tr[rho * (i * B)] for real antisymmetric B has real part -Im Tr[rho B]
-    return -float(np.einsum("ij,ji->", rho, a_im).imag)

@@ -6,8 +6,10 @@ dimensionless progress variable theta runs from 0 to 1,
     H0(theta) = - sum_j h_j(theta) X_j - sum_j b_j(theta) Z_j
                 - sum_{j>k} J_jk(theta) Z_j Z_k,
 
-with every scalar linear in theta.  The time profile of theta over a stroke
-is the nested-sine sweep below, which starts and ends at rest (zero rate).
+with every scalar linear in theta, so dH0/dtheta is the same Ising form
+with the endpoint differences (final minus initial) as its fields and
+couplings.  The time profile of theta over a stroke is the nested-sine
+sweep below, which starts and ends at rest (zero rate).
 """
 
 from __future__ import annotations
@@ -126,72 +128,49 @@ def sweep_theta_dot(t, tau: float):
     return out if out.ndim else float(out)
 
 
-def sweep_theta_ddot(t, tau: float):
-    """Second time derivative of ``sweep_theta`` (used by work diagnostics)."""
-    t = _check_time(t, tau)
-    inner = np.sin(np.pi * t / (2.0 * tau)) ** 2
-    u = np.pi * t / tau
-    out = (np.pi ** 3 / (4.0 * tau ** 2)) * (
-        np.cos(u) * np.sin(np.pi * inner)
-        + 0.5 * np.pi * np.sin(u) ** 2 * np.cos(np.pi * inner)
-    )
-    return out if out.ndim else float(out)
+def _ising(n: int, h, b, couplings) -> OperatorSum:
+    """-sum_j h_j X_j - sum_j b_j Z_j - sum_{j>k} J_jk Z_j Z_k."""
+    terms = {}
+    for site in range(n):
+        for letter, field in (("X", h), ("Z", b)):
+            pat = ["I"] * n
+            pat[site] = letter
+            terms[tuple(pat)] = -field[site]
+    for idx, (site, other) in enumerate(pair_index(n)):
+        pat = ["I"] * n
+        pat[site] = "Z"
+        pat[other] = "Z"
+        terms[tuple(pat)] = -couplings[idx]
+    return OperatorSum(n, terms)
 
 
 def h0_at(params: EndpointParams, theta: float) -> OperatorSum:
     """Working-medium Hamiltonian at progress ``theta`` in [0, 1]."""
     if not 0.0 <= theta <= 1.0:
         raise DomainError(f"theta={theta} outside [0, 1]")
-    n = params.n_sites
-    terms = {}
-
-    def site_pattern(j, letter):
-        pat = ["I"] * n
-        pat[j] = letter
-        return tuple(pat)
-
-    for j in range(n):
-        terms[site_pattern(j, "X")] = -(params.h_i[j] + (params.h_f[j] - params.h_i[j]) * theta)
-        terms[site_pattern(j, "Z")] = -(params.b_i[j] + (params.b_f[j] - params.b_i[j]) * theta)
-    for idx, (j, k) in enumerate(pair_index(n)):
-        pat = ["I"] * n
-        pat[j] = "Z"
-        pat[k] = "Z"
-        terms[tuple(pat)] = -(params.j_i[idx] + (params.j_f[idx] - params.j_i[idx]) * theta)
-    return OperatorSum(n, terms)
+    p = params
+    return _ising(p.n_sites, p.h_i + (p.h_f - p.h_i) * theta,
+                  p.b_i + (p.b_f - p.b_i) * theta, p.j_i + (p.j_f - p.j_i) * theta)
 
 
 def dh0_dtheta(params: EndpointParams) -> OperatorSum:
     """Derivative of ``h0_at`` with respect to theta (constant, schedules are linear)."""
-    n = params.n_sites
-    terms = {}
-    for j in range(n):
-        pat = ["I"] * n
-        pat[j] = "X"
-        terms[tuple(pat)] = -(params.h_f[j] - params.h_i[j])
-        pat = ["I"] * n
-        pat[j] = "Z"
-        terms[tuple(pat)] = -(params.b_f[j] - params.b_i[j])
-    for idx, (j, k) in enumerate(pair_index(n)):
-        pat = ["I"] * n
-        pat[j] = "Z"
-        pat[k] = "Z"
-        terms[tuple(pat)] = -(params.j_f[idx] - params.j_i[idx])
-    return OperatorSum(n, terms)
+    p = params
+    return _ising(p.n_sites, p.h_f - p.h_i, p.b_f - p.b_i, p.j_f - p.j_i)
 
 
 class StrokeGrid(NamedTuple):
     """Uniform time grid for one stroke plus theta values and rates.
 
-    ``theta``/``theta_dot``/``theta_ddot`` are sampled at the ``steps + 1``
-    grid points, the ``*_mid`` arrays at the ``steps`` interval midpoints.
-    Rates are signed: reverse strokes carry negative ``theta_dot``.
+    ``theta``/``theta_dot`` are sampled at the ``steps + 1`` grid points,
+    the ``*_mid`` arrays at the ``steps`` interval midpoints, where the
+    propagator freezes the Hamiltonian.  Rates are signed: reverse strokes
+    carry negative ``theta_dot``.
     """
 
     t: np.ndarray
     theta: np.ndarray
     theta_dot: np.ndarray
-    theta_ddot: np.ndarray
     t_mid: np.ndarray
     theta_mid: np.ndarray
     theta_dot_mid: np.ndarray
@@ -225,13 +204,11 @@ class SweepSpec:
         t_mid = tau * (np.arange(steps) + 0.5) / steps
         th = np.asarray(sweep_theta(t, tau))
         thd = np.asarray(sweep_theta_dot(t, tau))
-        thdd = np.asarray(sweep_theta_ddot(t, tau))
         thm = np.asarray(sweep_theta(t_mid, tau))
         thdm = np.asarray(sweep_theta_dot(t_mid, tau))
         if self.reverse:
             th = th[::-1].copy()
             thd = -thd[::-1]
-            thdd = thdd[::-1].copy()
             thm = thm[::-1].copy()
             thdm = -thdm[::-1]
-        return StrokeGrid(t, th, thd, thdd, t_mid, thm, thdm)
+        return StrokeGrid(t, th, thd, t_mid, thm, thdm)

@@ -1,10 +1,10 @@
 """Exact symbolic algebra over N-site Pauli operators.
 
 Operators live as maps from letter patterns (tuples such as
-``('X', 'I', 'Z')``) to complex coefficients.  Pauli strings are
-trace-orthogonal, so products, commutators and Hilbert-Schmidt inner
-products are computed term by term without any dense matrix; dense
-realizations are built on demand for propagation and thermal states.
+``('X', 'I', 'Z')``) to complex coefficients.  The product of two Pauli
+strings is a phase times a string, so commutators are computed term by
+term without any dense matrix; dense realizations are built on demand for
+propagation and thermal states.
 
 All values are immutable after construction and every operation is a
 pure function, so they are safe to share across threads and processes.
@@ -123,12 +123,6 @@ class OperatorSum:
     def n_terms(self) -> int:
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
-
     def __eq__(self, other):
         if not isinstance(other, OperatorSum):
             return NotImplemented
@@ -141,12 +135,6 @@ class OperatorSum:
         for k, c in other._terms.items():
             merged[k] = merged.get(k, 0.0 + 0.0j) + c
         return OperatorSum(self._n_sites, merged)
-
-    def __sub__(self, other: "OperatorSum") -> "OperatorSum":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "OperatorSum":
-        return (-1.0) * self
 
     def __mul__(self, scalar) -> "OperatorSum":
         scalar = complex(scalar)
@@ -178,26 +166,6 @@ def commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
                 phase, pat = _mul_letters(pa, pb)
                 out[pat] = out.get(pat, 0.0 + 0.0j) + 2.0 * ca * cb * phase
     return OperatorSum(a.n_sites, out)
-
-
-def hs_inner(a: OperatorSum, b: OperatorSum) -> complex:
-    """Hilbert-Schmidt inner product Tr[a^dagger b].
-
-    Pauli strings are trace-orthogonal, so this is 2^N times the sum of
-    conj(coeff_a) * coeff_b over shared patterns.
-    """
-    if a.n_sites != b.n_sites:
-        raise DimensionError(f"site counts differ: {a.n_sites} vs {b.n_sites}")
-    small, large = (a, b) if a.n_terms <= b.n_terms else (b, a)
-    acc = 0.0 + 0.0j
-    for pat, c in small.terms.items():
-        other = large.terms.get(pat)
-        if other is not None:
-            if small is a:
-                acc += np.conj(c) * other
-            else:
-                acc += np.conj(other) * c
-    return (2.0 ** a.n_sites) * acc
 
 
 def pattern_dense(letters: tuple[str, ...]) -> np.ndarray:

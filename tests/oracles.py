@@ -4,15 +4,21 @@ The dense-matrix oracles are built directly from numpy Kronecker products,
 independent of the symbolic algebra they validate.  ``exact_agp`` (the
 spectral gauge potential) is dense too.  ``solve_agp`` is the direct
 variational solve, one least-squares system per theta; it builds that
-system with the package's own Pauli algebra and serves as the slow,
-plain reference for ``cdotto.agp.AgpSolver``.
+system with the package's own Pauli algebra (and ``hs_inner``) and serves
+as the slow, plain reference for ``cdotto.agp.AgpSolver``.
+``dense_stroke`` propagates a stroke with dense matrices, its own sweep
+profile and scipy's matrix exponential, and integrates both parts of the
+work split, the reference for ``cdotto.dynamics.propagate_stroke``.
+``lz_cop`` is the two-level closed form of the coefficient of performance.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
-from cdotto.paulis import OperatorSum, commutator, hs_inner
+from cdotto.errors import DimensionError, DomainError
+from cdotto.paulis import OperatorSum, commutator
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -58,6 +64,26 @@ def dense_ising(n, h, b, couplings):
     return out
 
 
+def hs_inner(a: OperatorSum, b: OperatorSum) -> complex:
+    """Hilbert-Schmidt inner product Tr[a^dagger b].
+
+    Pauli strings are trace-orthogonal, so this is 2^N times the sum of
+    conj(coeff_a) * coeff_b over shared patterns.
+    """
+    if a.n_sites != b.n_sites:
+        raise DimensionError(f"site counts differ: {a.n_sites} vs {b.n_sites}")
+    small, large = (a, b) if a.n_terms <= b.n_terms else (b, a)
+    acc = 0.0 + 0.0j
+    for pat, c in small.terms.items():
+        other = large.terms.get(pat)
+        if other is not None:
+            if small is a:
+                acc += np.conj(c) * other
+            else:
+                acc += np.conj(other) * c
+    return (2.0 ** a.n_sites) * acc
+
+
 def gibbs_populations(energies, temperature):
     w = np.exp(-(np.asarray(energies) - np.min(energies)) / temperature)
     return w / w.sum()
@@ -70,6 +96,13 @@ def two_level_energies(h_xi, b_zf, t_cold, t_hot):
     e_c = -b_zf * np.tanh(b_zf / t_hot)
     e_d = -h_xi * np.tanh(b_zf / t_hot)
     return e_a, e_b, e_c, e_d
+
+
+def lz_cop(h_xi: float, b_zf: float) -> float:
+    """Two-level coefficient of performance h_xi / (b_zf - h_xi)."""
+    if not (b_zf > h_xi > 0):
+        raise DomainError(f"need b_zf > h_xi > 0, got h_xi={h_xi}, b_zf={b_zf}")
+    return h_xi / (b_zf - h_xi)
 
 
 class AgpSolution(NamedTuple):
@@ -129,3 +162,94 @@ def exact_agp(h0, dh0):
     a_eig = np.zeros_like(dh)
     a_eig[safe] = 1.0j * dh[safe] / gaps[safe]
     return vecs @ a_eig @ vecs.conj().T
+
+
+def sweep_profile(t, tau):
+    """theta(t) = sin^2((pi/2) s) with s = sin^2(pi t / (2 tau)), and its two time derivatives.
+
+    Written by the chain rule through s, apart from ``cdotto.model``.
+    """
+    u = np.pi * np.asarray(t, dtype=float) / tau
+    s = 0.5 * (1.0 - np.cos(u))
+    s_dot = 0.5 * (np.pi / tau) * np.sin(u)
+    s_ddot = 0.5 * (np.pi / tau) ** 2 * np.cos(u)
+    theta = 0.5 * (1.0 - np.cos(np.pi * s))
+    theta_dot = 0.5 * np.pi * np.sin(np.pi * s) * s_dot
+    theta_ddot = 0.5 * np.pi * (np.pi * np.cos(np.pi * s) * s_dot ** 2
+                                + np.sin(np.pi * s) * s_ddot)
+    return theta, theta_dot, theta_ddot
+
+
+class DenseStroke(NamedTuple):
+    """``dense_stroke`` result.
+
+    ``w_0`` integrates theta_dot Tr[rho dH0/dtheta] and ``w_cd`` integrates
+    Tr[rho dH_CD/dt] over the stroke.
+    """
+
+    final: np.ndarray
+    e_end: float
+    w_0: float
+    w_cd: float
+
+
+def dense_stroke(rho0, params, tau, steps, reverse=False, solver=None, delta=1e-6):
+    """Midpoint-exponential stroke with H(t) = H0(theta) + theta_dot sum_a alpha_a O_a.
+
+    ``rho0`` is a dense matrix; ``solver`` (an ``AgpSolver`` for ``params``,
+    or None for the bare sweep) supplies only the coefficients alpha(theta).
+    H0(theta) interpolates the dense endpoint Hamiltonians, and the reverse
+    stroke evaluates the profile at tau - t.  Both work parts are trapezoid
+    sums over the state at the ``steps + 1`` grid points, with
+    dH_CD/dt = theta_ddot A + theta_dot^2 dA/dtheta and dalpha/dtheta a
+    centered difference of step ``delta`` (one-sided at theta = 0, 1).
+    """
+    n = params.n_sites
+    pairs = [(j, k) for j in range(1, n) for k in range(j)]
+    h_cold = dense_ising(n, params.h_i, params.b_i, dict(zip(pairs, params.j_i)))
+    h_hot = dense_ising(n, params.h_f, params.b_f, dict(zip(pairs, params.j_f)))
+    dh0 = h_hot - h_cold
+
+    def h0(theta):
+        # every field and coupling is linear in theta
+        return (1.0 - theta) * h_cold + theta * h_hot
+
+    if solver is not None:
+        paulis = np.array([dense_pauli(pat) for pat in solver.basis.strings])
+
+    def agp(theta):
+        return np.tensordot(solver.coefficients(theta), paulis, axes=1)
+
+    def agp_derivative(theta):
+        lo, hi = max(0.0, theta - delta), min(1.0, theta + delta)
+        return (agp(hi) - agp(lo)) / (hi - lo)
+
+    def profile(t):
+        theta, rate, accel = sweep_profile(tau - t if reverse else t, tau)
+        return float(theta), float(-rate if reverse else rate), float(accel)
+
+    def energy(mat, op):
+        return float(np.trace(mat @ op).real)
+
+    dt = tau / steps
+    rho = np.array(rho0, dtype=complex)
+    f0 = np.empty(steps + 1)
+    f_cd = np.zeros(steps + 1)
+
+    def sample(k, rho):
+        theta, rate, accel = profile(tau * k / steps)
+        f0[k] = rate * energy(rho, dh0)
+        if solver is not None and (rate != 0.0 or accel != 0.0):
+            f_cd[k] = energy(rho, accel * agp(theta) + rate ** 2 * agp_derivative(theta))
+
+    sample(0, rho)
+    for k in range(steps):
+        theta, rate, _ = profile(tau * (k + 0.5) / steps)
+        h = h0(theta)
+        if solver is not None:
+            h = h + rate * agp(theta)
+        u = scipy.linalg.expm(-1j * dt * h)
+        rho = u @ rho @ u.conj().T
+        sample(k + 1, rho)
+    return DenseStroke(final=rho, e_end=energy(rho, h0(profile(tau)[0])),
+                       w_0=float(np.trapezoid(f0, dx=dt)), w_cd=float(np.trapezoid(f_cd, dx=dt)))

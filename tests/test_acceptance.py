@@ -19,7 +19,6 @@ from cdotto.cycle import (
     RunOptions,
     adiabatic_reference,
     cd_cost,
-    lz_cop,
     run_cycle,
     sweep,
 )
@@ -59,7 +58,7 @@ def test_criterion_1_lz_cop_exact():
     rep = _lz_cycle()
     cop_err = abs(rep.cop - 2.0 / 3.0)
     # the closed form is one ulp away from float(2/3) in binary arithmetic
-    closed_err = abs(lz_cop(0.2, 0.5) - 2.0 / 3.0)
+    closed_err = abs(oracles.lz_cop(0.2, 0.5) - 2.0 / 3.0)
     ok = cop_err <= 1e-5 and closed_err < 5e-16
     _report("criterion 1 (two-level CoP)", ok,
             f"|cop - 2/3| = {cop_err:.2e}, closed form off by {closed_err:.1e}",

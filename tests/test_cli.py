@@ -18,6 +18,14 @@ def run_cli(args):
     return main(list(args))
 
 
+def tree_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for subprocesses."""
+    src = str(Path(cdotto.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "run.cfg"
@@ -124,6 +132,13 @@ class TestRun:
         assert run_cli(["run", "--config", str(cfg)]) == 2
         assert "missing required keys" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes("N = 1\np = 0  # caf\u00e9\n".encode("latin-1"))
+        assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err and "not UTF-8" in err
+
     def test_non_finite_config_value_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("N = 1\np = 0\nTc = nan\n")
@@ -149,7 +164,7 @@ class TestRun:
         proc = subprocess.run(
             [sys.executable, "-m", "cdotto.cli", "run", "--config", str(config_file),
              "--out", str(out), "--steps-per-unit-time", "400"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=tree_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "4/4 grid points completed" in proc.stdout
@@ -174,12 +189,9 @@ class TestEmit:
 def test_import_loads_no_scipy():
     # numpy's BLAS is the only one the program loads; a second library
     # brings a second thread pool that competes with numpy's
-    src = str(Path(cdotto.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, cdotto, cdotto.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=tree_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -79,6 +79,16 @@ class TestExpand:
         with pytest.raises(ConfigError, match="Tc < Th"):
             expand_grid({"N": [1], "p": [0], "Tc": 0.4, "Th": 0.2})
 
+    @pytest.mark.parametrize("raw,message", [
+        ({"nu": -1.0}, "nu must be >= 0, got -1.0"),
+        ({"p": [-1]}, "p must be >= 0, got -1"),
+        ({"tau": [0.0]}, "tau1 must be positive"),
+        ({"tau2": -0.1}, "tau2 must be positive"),
+    ], ids=["nu", "p", "tau", "tau2"])
+    def test_cycle_domain_errors_are_config_errors(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            expand_grid({"N": [1], "p": [0], **raw})
+
     def test_tau_exclusivity(self):
         with pytest.raises(ConfigError, match="not both"):
             expand_grid({"N": [1], "p": [0], "tau": [1.0], "tau1": 1.0, "tau3": 1.0})
@@ -123,6 +133,14 @@ class TestLoadConfig:
                      "--steps-per-unit-time", "400"]) == 0
         rows = (out / "results.csv").read_text().strip().split("\n")[1:]
         assert [row.split(",")[0] for row in rows] == ["1", "2"]
+
+    def test_negative_nu_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nu.cfg"
+        path.write_text("N = 1\np = 1\nnu = -1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "error: control cost prefactor nu must be >= 0" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
     def test_empty_file_names_missing_keys(self, tmp_path, capsys):
         path = tmp_path / "empty.cfg"

@@ -11,7 +11,6 @@ from cdotto.cycle import (
     RunOptions,
     adiabatic_reference,
     cd_cost,
-    lz_cop,
     run_cycle,
     sweep,
 )
@@ -34,6 +33,11 @@ class TestConfig:
     def test_durations_positive(self):
         with pytest.raises(DomainError):
             uniform_cfg(1, 0, tau=-1.0)
+
+    def test_negative_cost_prefactor_rejected(self):
+        with pytest.raises(DomainError, match="nu must be >= 0"):
+            uniform_cfg(1, 1, nu=-1.0)
+        assert uniform_cfg(1, 1, nu=0.0).nu == 0.0
 
     def test_order_above_site_count_is_clamped(self):
         cfg = uniform_cfg(2, 4)
@@ -141,20 +145,22 @@ class TestAdiabaticReference:
 
 
 class TestLzCop:
+    """The closed form in ``oracles`` that criterion 1 checks against."""
+
     def test_reference_point(self):
         # 0.2/(0.5 - 0.2) and 2/3 differ by one ulp in binary floats
-        assert abs(lz_cop(0.2, 0.5) - 2.0 / 3.0) < 5e-16
+        assert abs(oracles.lz_cop(0.2, 0.5) - 2.0 / 3.0) < 5e-16
 
     def test_double_field_gives_unity(self):
-        assert lz_cop(0.3, 0.6) == 1.0
+        assert oracles.lz_cop(0.3, 0.6) == 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            lz_cop(0.5, 0.2)
+            oracles.lz_cop(0.5, 0.2)
         with pytest.raises(DomainError):
-            lz_cop(-0.1, 0.5)
+            oracles.lz_cop(-0.1, 0.5)
         with pytest.raises(DomainError):
-            lz_cop(0.0, 0.5)
+            oracles.lz_cop(0.0, 0.5)
 
 
 class TestCdCost:

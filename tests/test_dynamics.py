@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from cdotto.agp import AgpSolver, build_basis
-from cdotto.dynamics import (
-    DensityMatrix,
-    expectation,
-    gibbs_state,
-    propagate_stroke,
-)
+from cdotto.dynamics import DensityMatrix, gibbs_state, propagate_stroke
 from cdotto.errors import DimensionError, DomainError
 from cdotto.model import EndpointParams, SweepSpec, h0_at
 from cdotto.paulis import OperatorSum, to_dense
@@ -56,9 +52,8 @@ class TestGibbs:
 
     def test_cold_corner_energy(self):
         rho = gibbs_state(h0_at(PARAMS1, 0.0), 0.2)
-        assert expectation(rho, h0_at(PARAMS1, 0.0)) == pytest.approx(
-            -0.2 * np.tanh(1.0), abs=1e-12
-        )
+        energy = np.trace(rho.matrix @ to_dense(h0_at(PARAMS1, 0.0))).real
+        assert energy == pytest.approx(-0.2 * np.tanh(1.0), abs=1e-12)
 
     def test_commutes_with_hamiltonian(self):
         h = h0_at(disordered_params(2), 0.5)
@@ -72,18 +67,21 @@ class TestGibbs:
 
 
 class TestExpectation:
+    """The energy expectations a stroke reports at its two ends."""
+
     def test_maximally_mixed_traceless(self):
         rho = DensityMatrix(2, np.eye(4, dtype=complex) / 4.0)
-        assert expectation(rho, h0_at(PARAMS2, 0.7)) == pytest.approx(0.0, abs=1e-15)
+        res = propagate_stroke(rho, PARAMS2, SweepSpec(1.0), steps=200)
+        assert res.e_start == pytest.approx(0.0, abs=1e-15)
+        # unitary steps leave the state maximally mixed, up to their roundoff
+        assert res.e_end == pytest.approx(0.0, abs=1e-12)
 
     def test_ground_state_projector(self):
+        # H0(0) = -0.5 Z, whose ground state is |0>
+        params = EndpointParams.uniform(1, h_i=0.0, b_i=0.5)
         rho = DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex))
-        assert expectation(rho, OperatorSum(1, {("Z",): -0.5})) == -0.5
-
-    def test_dimension_mismatch(self):
-        rho = DensityMatrix(1, 0.5 * np.eye(2, dtype=complex))
-        with pytest.raises(DimensionError):
-            expectation(rho, h0_at(PARAMS2, 0.0))
+        res = propagate_stroke(rho, params, SweepSpec(1.0), steps=200)
+        assert res.e_start == -0.5
 
 
 class TestPropagation:
@@ -160,16 +158,29 @@ class TestPropagation:
         pops1 = np.sort(np.linalg.eigvalsh(back.final_state.matrix))
         np.testing.assert_allclose(pops1, pops0, atol=1e-8)
 
-    def test_bookkeeping_quadrature_cross_check(self):
-        params = EndpointParams.uniform(3)
-        rho = gibbs_state(h0_at(params, 0.0), 0.2)
-        res = propagate_stroke(rho, params, SweepSpec(1.0),
-                               cd=AgpSolver(params, build_basis(3, 1)), steps=2000,
-                               bookkeeping=True)
-        # the quadrature reproduces both the endpoint-energy work and the split
-        assert res.diagnostics.w_sta_quad == pytest.approx(res.w_sta, abs=1e-6)
-        assert res.diagnostics.w_cd_quad == pytest.approx(res.w_cd, abs=1e-6)
-        assert abs(res.w_cd) > 1e-2  # first-order control is genuinely inexact here
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("params,p", [
+        (EndpointParams.uniform(3), 0),
+        (EndpointParams.uniform(3), 2),
+        (disordered_params(3), 1),
+    ], ids=["bare", "uniform-p2", "disordered-p1"])
+    def test_matches_dense_stroke_oracle(self, params, p, reverse):
+        steps = 2000
+        rho = gibbs_state(h0_at(params, 1.0 if reverse else 0.0), 0.4 if reverse else 0.2)
+        spec = SweepSpec(1.0, reverse=reverse)
+        # the oracle gets a solver of its own, so the two share no per-theta cache
+        solvers = [AgpSolver(params, build_basis(3, p)) if p else None for _ in range(2)]
+        res = propagate_stroke(rho, params, spec, cd=solvers[0], steps=steps)
+        ref = oracles.dense_stroke(rho.matrix, params, 1.0, steps, reverse=reverse,
+                                   solver=solvers[1])
+        assert np.abs(res.final_state.matrix - ref.final).max() <= 1e-10
+        assert res.e_end == pytest.approx(ref.e_end, abs=1e-10)
+        assert res.w_0 == pytest.approx(ref.w_0, abs=1e-10)
+        # the control device's work, an endpoint-energy remainder in the
+        # package, is the quadrature of Tr[rho dH_CD/dt] (zero when bare)
+        assert res.w_cd == pytest.approx(ref.w_cd, abs=1e-6)
+        if p == 1:
+            assert abs(res.w_cd) > 1e-2  # first-order control is genuinely inexact here
 
     def test_control_must_be_a_solver(self):
         rho = gibbs_state(h0_at(PARAMS1, 0.0), 0.2)
