@@ -4,6 +4,13 @@ The propagator is the midpoint exponential: per step the full Hamiltonian
 (medium plus control) is frozen at the interval midpoint and exponentiated
 exactly, U_k = exp(-i H(t_k + dt/2) dt), which keeps every step exactly
 unitary so trace and purity are conserved to roundoff.  hbar = 1.
+
+A stroke steps in the smallest space its data allows.  With uniform
+endpoints H0, the orbit-summed control term and a permutation-symmetric
+state act alike on every copy of a collective-spin block, so the stroke
+runs on one copy of each (``cdotto.collective``) and weights its traces by
+the block multiplicities; otherwise it runs on the full 2^N space with unit
+weights.  The step itself is the same in both.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agp import AgpSolver
+from .collective import collective_basis
 from .errors import DimensionError, DomainError, NumericalError
 from .model import EndpointParams, SweepSpec, dh0_dtheta, h0_at
 from .paulis import OperatorSum, to_dense
@@ -20,9 +28,37 @@ from .paulis import OperatorSum, to_dense
 #: Propagation refuses grids coarser than this many steps per stroke.
 MIN_STEPS = 100
 
+#: largest entry of |lift(project(rho0)) - rho0| that still counts rho0 as
+#: permutation-symmetric
+SYMMETRY_TOL = 1e-12
+
 
 def _re_trace_product(rho: np.ndarray, mat: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", rho, mat).real)
+
+
+class _FullSpace:
+    """The 2^N space itself: W = I and unit trace weights."""
+
+    def __init__(self, dim: int):
+        self.weights = np.ones(dim)
+
+    @staticmethod
+    def project(mat: np.ndarray) -> np.ndarray:
+        return mat
+
+    @staticmethod
+    def lift(mat: np.ndarray) -> np.ndarray:
+        return mat
+
+
+def _stroke_space(params: EndpointParams, rho0: np.ndarray):
+    """One copy of each collective-spin block if the data allow it, else the full space."""
+    if params.is_uniform():
+        space = collective_basis(params.n_sites)
+        if np.abs(space.lift(space.project(rho0)) - rho0).max() <= SYMMETRY_TOL:
+            return space
+    return _FullSpace(2 ** params.n_sites)
 
 
 @dataclass(frozen=True)
@@ -117,6 +153,9 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     midpoints for the control-cost quadrature.  The control device's work
     is the remainder ``w_cd = w_sta - w_0``; the tests check it against an
     independent quadrature of Tr[rho dH_CD/dt] (``tests/oracles.py``).
+
+    The generators and ``rho0`` are projected once onto the stroke's space
+    (see the module docstring) and the final state is lifted back to 2^N.
     """
     if rho0.n_sites != params.n_sites:
         raise DimensionError("state and parameters differ in n_sites")
@@ -136,18 +175,22 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     grid = sweep.grid(steps)
     scale = 2.0 ** n
 
-    # h0 coefficients are real, so both dense generators are real symmetric
-    d0 = np.ascontiguousarray(to_dense(h0_at(params, 0.0)).real)
-    dd = np.ascontiguousarray(to_dense(dh0_dtheta(params)).real)
-    stack = solver.reduced_stack if solver is not None else None
+    space = _stroke_space(params, rho0.matrix)
+    # h0 coefficients are real, so both generators are real symmetric
+    d0 = np.ascontiguousarray(space.project(to_dense(h0_at(params, 0.0)).real))
+    dd = np.ascontiguousarray(space.project(to_dense(dh0_dtheta(params)).real))
+    stack = space.project(solver.reduced_stack) if solver is not None else None
     fallbacks_before = solver.fallbacks if solver is not None else 0
+    # the weights are constant on each block, so they commute with every
+    # generator; traces are taken against the weighted ones
+    d0w = space.weights[:, None] * d0
+    ddw = space.weights[:, None] * dd
 
-    rho = np.array(rho0.matrix, dtype=complex)
-    purity_start = float(np.vdot(rho, rho).real)
-    e_start = _re_trace_product(rho, d0 + grid.theta[0] * dd)
+    rho = np.array(space.project(rho0.matrix), dtype=complex)
+    e_start = _re_trace_product(rho, d0w + grid.theta[0] * ddw)
 
     f0 = np.empty(steps + 1)
-    f0[0] = grid.theta_dot[0] * _re_trace_product(rho, dd)
+    f0[0] = grid.theta_dot[0] * _re_trace_product(rho, ddw)
     norm_sq = np.zeros(steps)
 
     for k in range(steps):
@@ -166,18 +209,19 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         rho = u @ rho @ u.conj().T
         if not np.isfinite(rho).all():
             raise NumericalError(f"non-finite state at step {k + 1} of {steps}")
-        f0[k + 1] = grid.theta_dot[k + 1] * _re_trace_product(rho, dd)
+        f0[k + 1] = grid.theta_dot[k + 1] * _re_trace_product(rho, ddw)
 
     w_0 = float(np.trapezoid(f0, dx=dt))
-    e_end = _re_trace_product(rho, d0 + grid.theta[-1] * dd)
+    e_end = _re_trace_product(rho, d0w + grid.theta[-1] * ddw)
     w_sta = e_end - e_start
     w_cd = w_sta - w_0
 
+    rho = space.lift(rho)
     final = DensityMatrix(n, rho)
     diag = StrokeDiagnostics(
         steps=steps,
         trace_drift=abs(float(np.trace(rho).real) - 1.0),
-        purity_drift=abs(final.purity - purity_start),
+        purity_drift=abs(final.purity - rho0.purity),
         # the control term vanishes exactly at the stroke ends because the
         # sweep rate does
         hcd_times=np.concatenate(([0.0], grid.t_mid, [tau])),

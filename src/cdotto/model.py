@@ -162,13 +162,12 @@ def dh0_dtheta(params: EndpointParams) -> OperatorSum:
 class StrokeGrid(NamedTuple):
     """Uniform time grid for one stroke plus theta values and rates.
 
-    ``theta``/``theta_dot`` are sampled at the ``steps + 1`` grid points,
-    the ``*_mid`` arrays at the ``steps`` interval midpoints, where the
-    propagator freezes the Hamiltonian.  Rates are signed: reverse strokes
-    carry negative ``theta_dot``.
+    ``theta``/``theta_dot`` are sampled at the ``steps + 1`` grid points
+    t_k = k tau / steps, the ``*_mid`` arrays at the ``steps`` interval
+    midpoints ``t_mid``, where the propagator freezes the Hamiltonian.
+    Rates are signed: reverse strokes carry negative ``theta_dot``.
     """
 
-    t: np.ndarray
     theta: np.ndarray
     theta_dot: np.ndarray
     t_mid: np.ndarray
@@ -211,4 +210,4 @@ class SweepSpec:
             thd = -thd[::-1]
             thm = thm[::-1].copy()
             thdm = -thdm[::-1]
-        return StrokeGrid(t, th, thd, t_mid, thm, thdm)
+        return StrokeGrid(th, thd, t_mid, thm, thdm)

@@ -123,19 +123,6 @@ class OperatorSum:
     def n_terms(self) -> int:
         return len(self._terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, OperatorSum):
-            return NotImplemented
-        return self._n_sites == other._n_sites and self._terms == other._terms
-
-    def __add__(self, other: "OperatorSum") -> "OperatorSum":
-        if self._n_sites != other._n_sites:
-            raise DimensionError("site counts differ")
-        merged = dict(self._terms)
-        for k, c in other._terms.items():
-            merged[k] = merged.get(k, 0.0 + 0.0j) + c
-        return OperatorSum(self._n_sites, merged)
-
     def __mul__(self, scalar) -> "OperatorSum":
         scalar = complex(scalar)
         return OperatorSum(

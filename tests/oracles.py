@@ -136,9 +136,9 @@ def solve_agp(basis, h0, dh0):
     v = np.array([-hs_inner(dh0, c).real for c in c_ops])
     coeffs, _, rank, _ = np.linalg.lstsq(gram, v, rcond=1e-12)
 
-    g_op = dh0
-    for alpha, c in zip(coeffs, c_ops):
-        g_op = g_op + alpha * c
+    g_op = OperatorSum(basis.n_sites, [*dh0.terms.items(),
+                                       *(item for alpha, c in zip(coeffs, c_ops)
+                                         for item in (alpha * c).terms.items())])
     return AgpSolution(
         coefficients=coeffs,
         residual_action=float(hs_inner(g_op, g_op).real),
@@ -193,7 +193,8 @@ class DenseStroke(NamedTuple):
     w_cd: float
 
 
-def dense_stroke(rho0, params, tau, steps, reverse=False, solver=None, delta=1e-6):
+def dense_stroke(rho0, params, tau, steps, reverse=False, solver=None, delta=1e-6,
+                 cd_work=True):
     """Midpoint-exponential stroke with H(t) = H0(theta) + theta_dot sum_a alpha_a O_a.
 
     ``rho0`` is a dense matrix; ``solver`` (an ``AgpSolver`` for ``params``,
@@ -203,6 +204,8 @@ def dense_stroke(rho0, params, tau, steps, reverse=False, solver=None, delta=1e-
     sums over the state at the ``steps + 1`` grid points, with
     dH_CD/dt = theta_ddot A + theta_dot^2 dA/dtheta and dalpha/dtheta a
     centered difference of step ``delta`` (one-sided at theta = 0, 1).
+    ``cd_work=False`` skips the second quadrature, the costly part of a
+    large controlled stroke, and reports ``w_cd`` as nan.
     """
     n = params.n_sites
     pairs = [(j, k) for j in range(1, n) for k in range(j)]
@@ -239,7 +242,7 @@ def dense_stroke(rho0, params, tau, steps, reverse=False, solver=None, delta=1e-
     def sample(k, rho):
         theta, rate, accel = profile(tau * k / steps)
         f0[k] = rate * energy(rho, dh0)
-        if solver is not None and (rate != 0.0 or accel != 0.0):
+        if cd_work and solver is not None and (rate != 0.0 or accel != 0.0):
             f_cd[k] = energy(rho, accel * agp(theta) + rate ** 2 * agp_derivative(theta))
 
     sample(0, rho)
@@ -252,4 +255,5 @@ def dense_stroke(rho0, params, tau, steps, reverse=False, solver=None, delta=1e-
         rho = u @ rho @ u.conj().T
         sample(k + 1, rho)
     return DenseStroke(final=rho, e_end=energy(rho, h0(profile(tau)[0])),
-                       w_0=float(np.trapezoid(f0, dx=dt)), w_cd=float(np.trapezoid(f_cd, dx=dt)))
+                       w_0=float(np.trapezoid(f0, dx=dt)),
+                       w_cd=float(np.trapezoid(f_cd, dx=dt)) if cd_work else float("nan"))

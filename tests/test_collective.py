@@ -1,0 +1,103 @@
+"""The collective-spin basis against dense operators, for N = 1..8."""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from cdotto.agp import AgpSolver, build_basis
+from cdotto.collective import collective_basis
+from cdotto.dynamics import gibbs_state
+from cdotto.model import EndpointParams, dh0_dtheta, h0_at
+from cdotto.paulis import pattern_dense, to_dense
+
+SIZES = list(range(1, 9))
+
+
+def orbit_stack(n, p):
+    """Imaginary parts of the normalized orbit sums of the odd-Y strings of weight <= p.
+
+    This is ``AgpSolver.reduced_stack`` for uniform endpoints; above N = 6
+    it is summed here, since building a solver there costs seconds.
+    """
+    if n <= 6:
+        return AgpSolver(EndpointParams.uniform(n), build_basis(n, p)).reduced_stack
+    orbits = {}
+    for pat in build_basis(n, p).strings:
+        orbits.setdefault(tuple(sorted(pat)), []).append(pat)
+    return np.stack([sum(pattern_dense(pat).imag for pat in members) / math.sqrt(len(members))
+                     for members in orbits.values()])
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_operators(n):
+    """Uniform H0(theta), dH0/dtheta and every orbit operator up to p = 4."""
+    params = EndpointParams.uniform(n)
+    ops = [to_dense(h0_at(params, theta)).real for theta in (0.0, 0.3, 1.0)]
+    ops.append(to_dense(dh0_dtheta(params)).real)
+    for p in range(1, min(n, 4) + 1):
+        ops.extend(orbit_stack(n, p))
+    return ops
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_copy_basis_is_orthogonal(n):
+    basis = collective_basis(n)
+    dim = 2 ** n
+    assert basis.copies.shape == (dim, dim)
+    assert np.abs(basis.copies.T @ basis.copies - np.eye(dim)).max() <= 1e-12
+    assert np.abs(basis.w.T @ basis.w - np.eye(basis.w.shape[1])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_block_sizes_and_multiplicities(n):
+    basis = collective_basis(n)
+    assert basis.w.shape == (2 ** n, (n + 2) ** 2 // 4)
+    expected = []
+    for k in range(n // 2 + 1):
+        d = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+        expected += [d] * (n - 2 * k + 1)  # d_S copies of 2S + 1 states
+    np.testing.assert_array_equal(basis.weights, expected)
+    assert basis.weights.sum() == 2 ** n
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_symmetric_operators_leave_the_copies_invariant(n):
+    basis = collective_basis(n)
+    w = basis.w
+    for mat in symmetric_operators(n):
+        assert np.abs(mat @ w - w @ (w.T @ mat @ w)).max() <= 1e-12
+        # and the reduced form is block-diagonal, so projecting drops nothing
+        assert np.abs(w.T @ mat @ w - basis.project(mat)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_weighted_reduced_traces_equal_full_traces(n):
+    basis = collective_basis(n)
+    params = EndpointParams.uniform(n)
+    states = [gibbs_state(h0_at(params, 0.0), 0.2).matrix,
+              gibbs_state(h0_at(params, 1.0), 0.4).matrix]
+    for rho in states:
+        rho_r = basis.project(rho)
+        assert np.abs(basis.lift(rho_r) - rho).max() <= 1e-12
+        for mat in symmetric_operators(n):
+            # Tr[a b] = sum_ij a_ij b_ji
+            full = np.sum(rho * mat.T)
+            reduced = np.sum((basis.weights[:, None] * rho_r) * basis.project(mat).T)
+            assert abs(full - reduced) <= 1e-12
+
+
+def test_lift_of_projection_rejects_a_non_symmetric_state():
+    basis = collective_basis(4)
+    rho = np.zeros((16, 16))
+    rho[0b0101, 0b0101] = 1.0
+    # the stroke's guard: this state is not permutation-symmetric
+    assert np.abs(basis.lift(basis.project(rho)) - rho).max() > 1e-2
+
+
+def test_built_once_and_read_only():
+    basis = collective_basis(5)
+    assert collective_basis(5) is basis
+    for arr in (basis.copies, basis.w, basis.weights):
+        assert not arr.flags.writeable

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from cdotto.agp import AgpSolver, build_basis
-from cdotto.dynamics import DensityMatrix, gibbs_state, propagate_stroke
+from cdotto.dynamics import MIN_STEPS, DensityMatrix, gibbs_state, propagate_stroke
 from cdotto.errors import DimensionError, DomainError
 from cdotto.model import EndpointParams, SweepSpec, h0_at
 from cdotto.paulis import OperatorSum, to_dense
@@ -17,6 +17,27 @@ PARAMS2 = EndpointParams.uniform(2)
 
 CONSTANT2 = EndpointParams.uniform(2, h_i=0.2, b_i=0.1, j_i=0.05,
                                    h_f=0.2, b_f=0.1, j_f=0.05)
+
+
+def _oracle_cases():
+    """(params, p, steps, reverse) for the dense-oracle comparison.
+
+    The N = 3 strokes are long enough to converge the oracle's quadrature
+    of Tr[rho dH_CD/dt]; the uniform N = 5, 6 and 7 strokes run in the
+    collective-spin space, at the minimum step count to bound the cost of
+    the oracle's dense matrix exponentials.
+    """
+    cases = [("bare", EndpointParams.uniform(3), 0, 2000),
+             ("uniform-p2", EndpointParams.uniform(3), 2, 2000),
+             ("disordered-p1", disordered_params(3), 1, 2000)]
+    cases += [(f"uniform-N{n}-p{p}", EndpointParams.uniform(n), p, MIN_STEPS)
+              for n in (5, 6) for p in (0, 2, 4)]
+    for name, params, p, steps in cases:
+        for reverse in (False, True):
+            yield pytest.param(params, p, steps, reverse,
+                               id=f"{name}-{'reverse' if reverse else 'forward'}")
+    yield pytest.param(EndpointParams.uniform(7), 2, MIN_STEPS, False,
+                       id="uniform-N7-p2-forward")
 
 
 class TestDensityMatrix:
@@ -158,29 +179,42 @@ class TestPropagation:
         pops1 = np.sort(np.linalg.eigvalsh(back.final_state.matrix))
         np.testing.assert_allclose(pops1, pops0, atol=1e-8)
 
-    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-    @pytest.mark.parametrize("params,p", [
-        (EndpointParams.uniform(3), 0),
-        (EndpointParams.uniform(3), 2),
-        (disordered_params(3), 1),
-    ], ids=["bare", "uniform-p2", "disordered-p1"])
-    def test_matches_dense_stroke_oracle(self, params, p, reverse):
-        steps = 2000
+    @pytest.mark.parametrize("params,p,steps,reverse", _oracle_cases())
+    def test_matches_dense_stroke_oracle(self, params, p, steps, reverse):
+        n = params.n_sites
         rho = gibbs_state(h0_at(params, 1.0 if reverse else 0.0), 0.4 if reverse else 0.2)
         spec = SweepSpec(1.0, reverse=reverse)
         # the oracle gets a solver of its own, so the two share no per-theta cache
-        solvers = [AgpSolver(params, build_basis(3, p)) if p else None for _ in range(2)]
+        solvers = [AgpSolver(params, build_basis(n, p)) if p else None for _ in range(2)]
         res = propagate_stroke(rho, params, spec, cd=solvers[0], steps=steps)
+        converged = steps >= 2000
         ref = oracles.dense_stroke(rho.matrix, params, 1.0, steps, reverse=reverse,
-                                   solver=solvers[1])
+                                   solver=solvers[1], cd_work=converged)
         assert np.abs(res.final_state.matrix - ref.final).max() <= 1e-10
         assert res.e_end == pytest.approx(ref.e_end, abs=1e-10)
         assert res.w_0 == pytest.approx(ref.w_0, abs=1e-10)
-        # the control device's work, an endpoint-energy remainder in the
-        # package, is the quadrature of Tr[rho dH_CD/dt] (zero when bare)
-        assert res.w_cd == pytest.approx(ref.w_cd, abs=1e-6)
+        if converged:
+            # the control device's work, an endpoint-energy remainder in the
+            # package, is the quadrature of Tr[rho dH_CD/dt] (zero when bare)
+            assert res.w_cd == pytest.approx(ref.w_cd, abs=1e-6)
         if p == 1:
             assert abs(res.w_cd) > 1e-2  # first-order control is genuinely inexact here
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_non_symmetric_state_matches_dense_stroke_oracle(self, p):
+        # uniform endpoints, but |0101><0101| is not permutation-symmetric,
+        # so the stroke must not run in the collective-spin space
+        params = EndpointParams.uniform(4)
+        rho = np.zeros((16, 16), dtype=complex)
+        rho[0b0101, 0b0101] = 1.0
+        solvers = [AgpSolver(params, build_basis(4, p)) if p else None for _ in range(2)]
+        res = propagate_stroke(DensityMatrix(4, rho), params, SweepSpec(1.0),
+                               cd=solvers[0], steps=MIN_STEPS)
+        ref = oracles.dense_stroke(rho, params, 1.0, MIN_STEPS, solver=solvers[1],
+                                   cd_work=False)
+        assert np.abs(res.final_state.matrix - ref.final).max() <= 1e-10
+        assert res.e_end == pytest.approx(ref.e_end, abs=1e-10)
+        assert res.w_0 == pytest.approx(ref.w_0, abs=1e-10)
 
     def test_control_must_be_a_solver(self):
         rho = gibbs_state(h0_at(PARAMS1, 0.0), 0.2)

@@ -14,6 +14,7 @@ from cdotto.model import (
     sweep_theta,
     sweep_theta_dot,
 )
+from cdotto.paulis import OperatorSum
 
 
 def disordered_params(n, seed=3):
@@ -145,7 +146,8 @@ class TestHamiltonian:
             base = h0_at(params, 0.0)
             slope = dh0_dtheta(params)
             for theta in (0.0, 0.25, 1.0 / 3.0, 0.5, 0.9, 1.0):
-                assert h0_at(params, theta) == base + theta * slope
+                line = OperatorSum(3, [*base.terms.items(), *(theta * slope).terms.items()])
+                assert dict(h0_at(params, theta).terms) == dict(line.terms)
 
 
 class TestDerivative:
@@ -170,7 +172,8 @@ class TestDerivative:
         eps = 1e-6
         hi = h0_at(params, 0.4 + eps)
         lo = h0_at(params, 0.4 - eps)
-        fd = (1.0 / (2 * eps)) * (hi + (-1.0) * lo)
+        fd = (1.0 / (2 * eps)) * OperatorSum(2, [*hi.terms.items(),
+                                                  *((-1.0) * lo).terms.items()])
         exact = dh0_dtheta(params)
         for pat, c in exact.terms.items():
             assert fd.terms[pat] == pytest.approx(c, abs=1e-9)
@@ -197,8 +200,9 @@ class TestSweepSpec:
     def test_reverse_scalar_profile(self):
         # theta_rev(t) = theta_fwd(tau - t) = 1 - theta_fwd(t) on the reverse grid's own times
         grid = SweepSpec(2.0, reverse=True).grid(10)
+        t = 2.0 * np.arange(11) / 10
         assert grid.theta[0] == 1.0 and grid.theta[-1] == 0.0
-        np.testing.assert_allclose(grid.theta, 1.0 - sweep_theta(grid.t, 2.0),
+        np.testing.assert_allclose(grid.theta, 1.0 - sweep_theta(t, 2.0),
                                    rtol=0, atol=1e-14)
-        np.testing.assert_allclose(grid.theta_dot, -sweep_theta_dot(2.0 - grid.t, 2.0),
+        np.testing.assert_allclose(grid.theta_dot, -sweep_theta_dot(2.0 - t, 2.0),
                                    rtol=0, atol=1e-14)
