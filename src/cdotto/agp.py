@@ -14,12 +14,16 @@ stationarity condition is the linear system
 with C_a = i [O_a, H0(theta)] (Sels & Polkovnikov, PNAS 114, E3909 (2017)).
 ``AgpSolver`` precomputes the theta-dependence (H0 is affine in theta, so
 gram and v are polynomial in theta) and serves cached per-theta solutions
-fast enough to be called once per integrator step.  It solves in reduced
-coordinates beta with alpha = q beta: the permutation-orbit sums for
-uniform endpoints, the strings themselves otherwise.  Every reduced
-solution is checked against the full normal equations.  All linear algebra
-here is numpy's.  The tests keep a direct one-system-per-theta solve and
-the spectral gauge potential as references (``tests/oracles.py``).
+fast enough to be called once per integrator step.  The commutators of all
+strings come from one vectorized pass over their binary (x, z) masks
+(``cdotto.paulis.i_commutator_table``), as a sparse table of string,
+pattern and coefficient.  The solver works in reduced coordinates beta with
+alpha = q beta: the permutation-orbit sums for uniform endpoints, the
+strings themselves otherwise.  Every reduced solution is checked against
+the full normal equations.  All linear algebra here is numpy's.  The tests
+keep a direct one-system-per-theta solve, the per-string symbolic build of
+the same system and the spectral gauge potential as references
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .model import EndpointParams, dh0_dtheta, h0_at
-from .paulis import OperatorSum, commutator, pattern_dense
+from .paulis import (dense_strings, i_commutator_table, pattern_code, pauli_masks,
+                     string_phases)
 
 #: rcond of the minimum-norm least-squares fallback on the full system
 LSTSQ_RCOND = 1e-12
@@ -76,12 +81,6 @@ def build_basis(n_sites: int, p: int) -> AnsatzBasis:
     return AnsatzBasis(n_sites, p, tuple(strings))
 
 
-def _i_commutator_real(op_pattern: tuple[str, ...], h: OperatorSum) -> OperatorSum:
-    """i [O, H] for a unit-coefficient string O; real for Hermitian inputs."""
-    c = commutator(OperatorSum(len(op_pattern), {op_pattern: 1.0}), h)
-    return 1.0j * c
-
-
 def _orbit_projector(basis: AnsatzBasis) -> np.ndarray:
     """Orthonormal basis of the site-permutation-symmetric coefficient subspace.
 
@@ -98,24 +97,45 @@ def _orbit_projector(basis: AnsatzBasis) -> np.ndarray:
     return q
 
 
+def _sparse_matmul(rows, cols, vals, n_rows: int, mat: np.ndarray) -> np.ndarray:
+    """M @ mat for the n_rows-row matrix M with entries M[rows, cols] = vals.
+
+    One column at a time, so no temporary grows with the columns of mat.
+    """
+    return np.stack([np.bincount(rows, vals * col[cols], n_rows) for col in mat.T], axis=1)
+
+
+def _grams(b0: np.ndarray, b1: np.ndarray, scale: float):
+    """P0, P1, P2 of gram(theta) = scale (b0 + theta b1)(b0 + theta b1)^T."""
+    return (scale * (b0 @ b0.T), scale * (b0 @ b1.T + b1 @ b0.T), scale * (b1 @ b1.T))
+
+
 class AgpSolver:
     """Per-theta variational solutions for a fixed model and ansatz.
 
     H0(theta) is affine in theta, so C_a(theta) = K0_a + theta * K1_a with
-    constant string content; the gram matrix is a quadratic matrix
-    polynomial P0 + theta P1 + theta^2 P2 and the target is w0 + theta w1,
-    all precomputed here.
+    constant string content: K0_a = i[O_a, H0(0)] and K1_a = i[O_a, dH0/dtheta]
+    have real coefficients b0[a, c] and b1[a, c] over the patterns c that
+    occur, and Re Tr[O_c O_c'] = 2^N delta_cc'.  So the gram matrix is the
+    quadratic matrix polynomial P0 + theta P1 + theta^2 P2 with
+    P(theta) = 2^N (b0 + theta b1)(b0 + theta b1)^T, and the target is
+    w0 + theta w1 with w_k = -2^N b_k d for the coefficients d of dH0/dtheta.
+    b0 and b1 are built as sparse tables in one vectorized pass over the
+    strings' bit masks.
 
     The solver works in reduced coordinates beta, with alpha = q beta for a
     matrix q of orthonormal columns.  For uniform endpoints q spans the
     site-permutation orbit sums (13 columns at N = 6, p = 4 in place of 926
-    strings); otherwise q = I and beta is alpha.  Per theta the reduced
-    system (q^T P q) beta = q^T w must pass a Cholesky factorization and is
-    then solved; the result is checked against the full normal equations,
-    g = sum_k theta^k (P_k q) beta - w0 - theta w1, with the m x r products
-    P_k q precomputed.  A failed factorization or check falls back to
-    minimum-norm least squares on the full system (counted in
-    ``fallbacks``).
+    strings); the m x r products P_k q = 2^N b_i (b_j^T q) and the targets
+    w_k are formed straight from the tables, and no m x m or dense b matrix
+    is held.  Otherwise q = I, beta is alpha, and b0, b1 and the P_k are
+    dense.  Per theta the reduced system (q^T P q) beta = q^T w must pass a
+    Cholesky factorization and is then solved; the result is checked
+    against the full normal equations,
+    g = sum_k theta^k (P_k q) beta - w0 - theta w1.  A failed factorization
+    or check falls back to minimum-norm least squares on the full system
+    (counted in ``fallbacks``); for uniform endpoints that is the one place
+    the m x m gram is formed.
 
     The propagator uses the ``reduced_*`` members only:
     H_CD = theta_dot * sum_B beta_B O_B with O_B = sum_a q_aB O_a, and
@@ -133,63 +153,73 @@ class AgpSolver:
         self._stack = None
 
         n = params.n_sites
-        scale = 2.0 ** n
-        h0_base = h0_at(params, 0.0)
-        dh0 = dh0_dtheta(params)
-        k0 = [_i_commutator_real(pat, h0_base) for pat in basis.strings]
-        k1 = [_i_commutator_real(pat, dh0) for pat in basis.strings]
-
-        patterns = sorted(
-            set().union(*(op.terms.keys() for op in k0 + k1), dh0.terms.keys())
-        )
-        col = {pat: i for i, pat in enumerate(patterns)}
         m = basis.size
-        b0 = np.zeros((m, len(patterns)))
-        b1 = np.zeros((m, len(patterns)))
-        for a in range(m):
-            for pat, c in k0[a].terms.items():
-                b0[a, col[pat]] = c.real
-            for pat, c in k1[a].terms.items():
-                b1[a, col[pat]] = c.real
-        d = np.zeros(len(patterns))
-        for pat, c in dh0.terms.items():
-            d[col[pat]] = c.real
+        self._scale = scale = 2.0 ** n
+        self._masks = x, z = pauli_masks(basis.strings, n)
+        dh0 = dh0_dtheta(params)
+        tables = [i_commutator_table(x, z, h) for h in (h0_at(params, 0.0), dh0)]
 
-        self._p0 = scale * (b0 @ b0.T)
-        self._p1 = scale * (b0 @ b1.T + b1 @ b0.T)
-        self._p2 = scale * (b1 @ b1.T)
-        self._w0 = -scale * (b0 @ d)
-        self._w1 = -scale * (b1 @ d)
+        # one column per pattern, in the lexicographic order of the letters,
+        # so the dense disordered grams sum in the per-string build's order
+        d_codes = pattern_code(*pauli_masks(dh0.terms, n), n)
+        # sorted in Python: np.unique imports numpy.ma, and it and np.sort
+        # add up to 0.7 MB of peak RSS to a small run
+        all_codes = np.concatenate([t[1] for t in tables] + [d_codes])
+        codes = np.array(sorted(set(all_codes.tolist())))
+        n_pat = self._n_patterns = len(codes)
+        self._tables = tuple((rows, np.searchsorted(codes, c), vals) for rows, c, vals in tables)
+        d = np.zeros(n_pat)
+        d[np.searchsorted(codes, d_codes)] = [c.real for c in dh0.terms.values()]
 
         if params.is_uniform():
-            q = _orbit_projector(basis)
-            self._q = q
-            self._pq = tuple(p @ q for p in (self._p0, self._p1, self._p2))
+            self._q = q = _orbit_projector(basis)
+
+            def b(k, mat):
+                rows, cols, vals = self._tables[k]
+                return _sparse_matmul(rows, cols, vals, m, mat)
+
+            b0q, b1q = (_sparse_matmul(cols, rows, vals, n_pat, q)
+                        for rows, cols, vals in self._tables)
+            self._pq = (scale * b(0, b0q), scale * (b(0, b1q) + b(1, b0q)),
+                        scale * b(1, b1q))
+            self._w0, self._w1 = (-scale * b(k, d[:, None])[:, 0] for k in (0, 1))
             self._r = tuple(q.T @ pq for pq in self._pq)
             self._u = (q.T @ self._w0, q.T @ self._w1)
         else:
             self._q = None
-            self._pq = self._r = (self._p0, self._p1, self._p2)
+            b0, b1 = self._dense_tables()
+            self._pq = self._r = _grams(b0, b1, scale)
+            self._w0 = -scale * (b0 @ d)
+            self._w1 = -scale * (b1 @ d)
             self._u = (self._w0, self._w1)
+
+    def _dense_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """b0 and b1 as dense (m, patterns) arrays."""
+        out = []
+        for rows, cols, vals in self._tables:
+            b = np.zeros((self.basis.size, self._n_patterns))
+            b[rows, cols] = vals
+            out.append(b)
+        return out[0], out[1]
 
     @property
     def reduced_stack(self) -> np.ndarray:
         """Imaginary parts of the reduced-coordinate operators O_B, shape (r, 2^N, 2^N).
 
         Odd-Y strings are i times a real matrix, so O_B = i * reduced_stack[B].
-        Built on first use, summed string by string so the full string stack
-        is never held.
+        Built on first use in one scatter of every string's signed
+        permutation, weighted by its entry of q, into the slot of its column.
         """
         if self._stack is None:
-            strings = self.basis.strings
+            x, z = self._masks
+            m = self.basis.size
             if self._q is None:
-                self._stack = np.stack([pattern_dense(pat).imag for pat in strings])
+                slots, weights, n_slots = np.arange(m), np.ones(m), m
             else:
-                dim = 2 ** self.basis.n_sites
-                stack = np.zeros((self._q.shape[1], dim, dim))
-                for a, b in zip(*np.nonzero(self._q)):
-                    stack[b] += self._q[a, b] * pattern_dense(strings[a]).imag
-                self._stack = stack
+                slots = np.nonzero(self._q)[1]
+                weights, n_slots = self._q[np.arange(m), slots], self._q.shape[1]
+            self._stack = dense_strings(self.basis.n_sites, x, z,
+                                        weights * string_phases(x, z).imag, slots, n_slots)
         return self._stack
 
     def _normal_residual(self, theta: float, beta: np.ndarray) -> float:
@@ -224,7 +254,9 @@ class AgpSolver:
             if not np.isfinite(beta).all() or self._normal_residual(theta, beta) > tol:
                 beta = None
         if beta is None:
-            gram = self._p0 + theta * self._p1 + (theta * theta) * self._p2
+            p0, p1, p2 = self._r if self._q is None else _grams(*self._dense_tables(),
+                                                                self._scale)
+            gram = p0 + theta * p1 + (theta * theta) * p2
             v = self._w0 + theta * self._w1
             alpha = np.linalg.lstsq(gram, v, rcond=LSTSQ_RCOND)[0]
             beta = alpha if self._q is None else self._q.T @ alpha

@@ -6,8 +6,11 @@ spectral gauge potential) is dense too.  ``solve_agp`` is the direct
 variational solve, one least-squares system per theta; it builds that
 system with the package's own Pauli algebra (and ``hs_inner``) and serves
 as the slow, plain reference for ``cdotto.agp.AgpSolver``.
-``dense_stroke`` propagates a stroke with dense matrices, its own sweep
-profile and scipy's matrix exponential, and integrates both parts of the
+``string_build`` forms the solver's theta-polynomial system the plain way,
+one symbolic commutator per string and m x m matrices, the reference for
+the solver's bit-mask build.  ``dense_stroke`` propagates a stroke with
+dense matrices, its own sweep profile and exponentials from scipy's
+``eigh`` (a LAPACK apart from numpy's), and integrates both parts of the
 work split, the reference for ``cdotto.dynamics.propagate_stroke``.
 ``lz_cop`` is the two-level closed form of the coefficient of performance.
 """
@@ -16,8 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemv, zgemm
 
 from cdotto.errors import DimensionError, DomainError
+from cdotto.model import dh0_dtheta, h0_at
 from cdotto.paulis import OperatorSum, commutator
 
 I2 = np.eye(2, dtype=complex)
@@ -147,6 +152,41 @@ def solve_agp(basis, h0, dh0):
     )
 
 
+class StringBuild(NamedTuple):
+    """The solver's system gram(theta) = P0 + theta P1 + theta^2 P2, v(theta) = w0 + theta w1."""
+
+    p: tuple
+    w: tuple
+
+
+def string_build(params, basis):
+    """P_k (m x m) and w_k from one symbolic commutator per string and Hamiltonian.
+
+    C_a(theta) = i[O_a, H0(0)] + theta i[O_a, dH0/dtheta] has real
+    coefficients b0[a, c] + theta b1[a, c] over the patterns c that occur,
+    and Re Tr[O_c O_c'] = 2^N delta_cc', so gram = 2^N (b0 + theta b1)(...)^T
+    and v = -2^N (b0 + theta b1) d for the coefficients d of dH0/dtheta.
+    """
+    n = basis.n_sites
+    dh0 = dh0_dtheta(params)
+    ops = [[1.0j * commutator(OperatorSum(n, {pat: 1.0}), h) for pat in basis.strings]
+           for h in (h0_at(params, 0.0), dh0)]
+    patterns = sorted(set().union(*(op.terms for row in ops for op in row), dh0.terms))
+    col = {pat: i for i, pat in enumerate(patterns)}
+    b0, b1 = np.zeros((2, basis.size, len(patterns)))
+    for b, row in zip((b0, b1), ops):
+        for a, op in enumerate(row):
+            for pat, c in op.terms.items():
+                b[a, col[pat]] = c.real
+    d = np.zeros(len(patterns))
+    for pat, c in dh0.terms.items():
+        d[col[pat]] = c.real
+    scale = 2.0 ** n
+    return StringBuild(p=(scale * (b0 @ b0.T), scale * (b0 @ b1.T + b1 @ b0.T),
+                          scale * (b1 @ b1.T)),
+                       w=(-scale * (b0 @ d), -scale * (b1 @ d)))
+
+
 def exact_agp(h0, dh0):
     """Spectral gauge potential i <m|dH0|n> / (E_n - E_m), as a dense matrix.
 
@@ -206,6 +246,11 @@ def dense_stroke(rho0, params, tau, steps, reverse=False, solver=None, delta=1e-
     centered difference of step ``delta`` (one-sided at theta = 0, 1).
     ``cd_work=False`` skips the second quadrature, the costly part of a
     large controlled stroke, and reports ``w_cd`` as nan.
+
+    Every BLAS call of the loop goes to scipy's library, as its ``eigh``
+    does: alternating with numpy's threaded OpenBLAS keeps each library's
+    idle threads spinning against the other's, about tenfold slower per step
+    on two cores.  Traces are elementwise sums for the same reason.
     """
     n = params.n_sites
     pairs = [(j, k) for j in range(1, n) for k in range(j)]
@@ -217,11 +262,15 @@ def dense_stroke(rho0, params, tau, steps, reverse=False, solver=None, delta=1e-
         # every field and coupling is linear in theta
         return (1.0 - theta) * h_cold + theta * h_hot
 
+    dim = 2 ** n
     if solver is not None:
-        paulis = np.array([dense_pauli(pat) for pat in solver.basis.strings])
+        # column a holds the real then the imaginary parts of string a
+        paulis = np.array([dense_pauli(pat).ravel() for pat in solver.basis.strings])
+        columns = np.asfortranarray(np.concatenate([paulis.real, paulis.imag], axis=1).T)
 
     def agp(theta):
-        return np.tensordot(solver.coefficients(theta), paulis, axes=1)
+        parts = dgemv(1.0, columns, solver.coefficients(theta))
+        return (parts[:dim * dim] + 1j * parts[dim * dim:]).reshape(dim, dim)
 
     def agp_derivative(theta):
         lo, hi = max(0.0, theta - delta), min(1.0, theta + delta)
@@ -232,7 +281,7 @@ def dense_stroke(rho0, params, tau, steps, reverse=False, solver=None, delta=1e-
         return float(theta), float(-rate if reverse else rate), float(accel)
 
     def energy(mat, op):
-        return float(np.trace(mat @ op).real)
+        return float(np.sum(mat * op.T).real)
 
     dt = tau / steps
     rho = np.array(rho0, dtype=complex)
@@ -251,8 +300,9 @@ def dense_stroke(rho0, params, tau, steps, reverse=False, solver=None, delta=1e-
         h = h0(theta)
         if solver is not None:
             h = h + rate * agp(theta)
-        u = scipy.linalg.expm(-1j * dt * h)
-        rho = u @ rho @ u.conj().T
+        energies, vecs = scipy.linalg.eigh(h)
+        u = zgemm(1.0, vecs * np.exp(-1j * dt * energies), vecs, trans_b=2)
+        rho = zgemm(1.0, zgemm(1.0, u, rho), u, trans_b=2)
         sample(k + 1, rho)
     return DenseStroke(final=rho, e_end=energy(rho, h0(profile(tau)[0])),
                        w_0=float(np.trapezoid(f0, dx=dt)),

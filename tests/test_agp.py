@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cdotto.agp import AgpSolver, build_basis
+from cdotto.agp import RESIDUAL_RTOL, AgpSolver, build_basis
 from cdotto.errors import DomainError
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
 from cdotto.paulis import OperatorSum, commutator
@@ -210,6 +210,63 @@ class TestSolverFastPath:
         solver = AgpSolver(params, build_basis(2, 2))
         beta = solver.reduced_coefficients(0.5)
         assert solver.reduced_coefficients(0.5) is beta
+
+
+BUILD_CASES = [(kind, n) for kind in ("uniform", "disordered") for n in range(1, 7)]
+
+
+def endpoint_params(kind, n):
+    return EndpointParams.uniform(n) if kind == "uniform" else disordered_params(n)
+
+
+class TestMaskBuild:
+    """The bit-mask build against the per-string symbolic one (``oracles.string_build``)."""
+
+    @pytest.mark.parametrize("kind,n", BUILD_CASES, ids=[f"{k}-N{n}" for k, n in BUILD_CASES])
+    def test_system_matches_string_build(self, kind, n):
+        params = endpoint_params(kind, n)
+        basis = build_basis(n, min(n, 4))
+        solver = AgpSolver(params, basis)
+        ref = oracles.string_build(params, basis)
+        q = solver._q if kind == "uniform" else np.eye(basis.size)
+        pq = [p @ q for p in ref.p]
+        # relative to the size of each family, since some targets vanish
+        # analytically and carry only roundoff in the reference
+        p_scale = max(np.abs(x).max() for x in pq)
+        w_scale = max(np.abs(x).max() for x in ref.w)
+        for got, want in zip(solver._pq, pq):
+            assert np.abs(got - want).max() <= 1e-12 * p_scale
+        for got, want in zip(solver._r, pq):
+            assert np.abs(got - q.T @ want).max() <= 1e-12 * p_scale
+        for got, want in zip((solver._w0, solver._w1), ref.w):
+            assert np.abs(got - want).max() <= 1e-12 * w_scale
+        for got, want in zip(solver._u, ref.w):
+            assert np.abs(got - q.T @ want).max() <= 1e-12 * w_scale
+
+    @pytest.mark.parametrize("kind,n", BUILD_CASES, ids=[f"{k}-N{n}" for k, n in BUILD_CASES])
+    def test_stack_equals_dense_pattern_sums(self, kind, n):
+        basis = build_basis(n, min(n, 4))
+        solver = AgpSolver(endpoint_params(kind, n), basis)
+        q = solver._q if kind == "uniform" else np.eye(basis.size)
+        dim = 2 ** n
+        want = np.zeros((q.shape[1], dim, dim))
+        for a, b in zip(*np.nonzero(q)):
+            want[b] += q[a, b] * oracles.dense_pauli(basis.strings[a]).imag
+        np.testing.assert_array_equal(solver.reduced_stack, want)
+
+    def test_uniform_n8_builds_and_solves(self):
+        # 3,648 strings in 13 orbits; the full normal-equation residual is
+        # checked on every solve and must pass without a fallback
+        params = EndpointParams.uniform(8)
+        solver = AgpSolver(params, build_basis(8, 4))
+        assert solver.basis.size == 3648
+        for theta in np.linspace(0.0, 1.0, 11):
+            beta = solver.reduced_coefficients(theta)
+            assert beta.shape == (13,)
+            tol = RESIDUAL_RTOL * (1.0 + solver._target_norm(theta))
+            assert solver._normal_residual(theta, beta) <= tol
+        assert solver.fallbacks == 0
+        assert solver.reduced_stack.shape == (13, 256, 256)
 
 
 def dense_control_term(basis, alpha, theta_dot):

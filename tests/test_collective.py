@@ -10,24 +10,9 @@ from cdotto.agp import AgpSolver, build_basis
 from cdotto.collective import collective_basis
 from cdotto.dynamics import gibbs_state
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
-from cdotto.paulis import pattern_dense, to_dense
+from cdotto.paulis import to_dense
 
 SIZES = list(range(1, 9))
-
-
-def orbit_stack(n, p):
-    """Imaginary parts of the normalized orbit sums of the odd-Y strings of weight <= p.
-
-    This is ``AgpSolver.reduced_stack`` for uniform endpoints; above N = 6
-    it is summed here, since building a solver there costs seconds.
-    """
-    if n <= 6:
-        return AgpSolver(EndpointParams.uniform(n), build_basis(n, p)).reduced_stack
-    orbits = {}
-    for pat in build_basis(n, p).strings:
-        orbits.setdefault(tuple(sorted(pat)), []).append(pat)
-    return np.stack([sum(pattern_dense(pat).imag for pat in members) / math.sqrt(len(members))
-                     for members in orbits.values()])
 
 
 @functools.lru_cache(maxsize=None)
@@ -37,7 +22,7 @@ def symmetric_operators(n):
     ops = [to_dense(h0_at(params, theta)).real for theta in (0.0, 0.3, 1.0)]
     ops.append(to_dense(dh0_dtheta(params)).real)
     for p in range(1, min(n, 4) + 1):
-        ops.extend(orbit_stack(n, p))
+        ops.extend(AgpSolver(params, build_basis(n, p)).reduced_stack)
     return ops
 
 

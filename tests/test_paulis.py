@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
+from cdotto.agp import build_basis
 from cdotto.errors import CapacityError, DimensionError
-from cdotto.paulis import OperatorSum, commutator, to_dense
+from cdotto.model import EndpointParams, dh0_dtheta, h0_at
+from cdotto.paulis import (OperatorSum, commutator, i_commutator_table, pattern_code,
+                           pauli_masks, to_dense)
 from oracles import hs_inner
+
+from test_model import disordered_params
 
 
 def random_letters(rng, n):
@@ -115,6 +120,45 @@ class TestCommutator:
             assert all(abs(v.imag) <= 1e-12 for v in c.terms.values())
 
 
+def code_letters(code, n):
+    """Letter pattern of a ``pattern_code``: base-4 digits I, X, Y, Z, site 0 leading."""
+    return tuple("IXYZ"[(int(code) >> (2 * (n - 1 - site))) & 3] for site in range(n))
+
+
+class TestMaskKernel:
+    def test_masks_and_codes_of_single_letters(self):
+        x, z = pauli_masks([("I", "X"), ("Y", "Z"), ("Z", "Y")], 2)
+        np.testing.assert_array_equal(x, [0b01, 0b10, 0b01])
+        np.testing.assert_array_equal(z, [0b00, 0b11, 0b11])
+        codes = pattern_code(x, z, 2)
+        assert [code_letters(c, 2) for c in codes] == [("I", "X"), ("Y", "Z"), ("Z", "Y")]
+        # codes sort like the letter patterns
+        assert list(codes) == sorted(codes)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_commutator_table_matches_symbolic_commutator(self, n):
+        # every string of the largest ansatz the solver is built on, against
+        # each Hamiltonian it meets, uniform and disordered, term by term
+        basis = build_basis(n, min(n, 4))
+        x, z = pauli_masks(basis.strings, n)
+        for params in (EndpointParams.uniform(n), disordered_params(n)):
+            for h in (h0_at(params, 0.0), h0_at(params, 0.37), dh0_dtheta(params)):
+                rows, codes, values = i_commutator_table(x, z, h)
+                assert np.all(np.diff(rows) >= 0)
+                table = {}
+                for row, code, value in zip(rows, codes, values):
+                    table.setdefault(int(row), {})[code_letters(code, n)] = value
+                for a, pat in enumerate(basis.strings):
+                    c = 1j * commutator(OperatorSum(n, {pat: 1.0}), h)
+                    assert table.get(a, {}) == {k: v.real for k, v in c.terms.items()}
+                    assert all(v.imag == 0.0 for v in c.terms.values())
+
+    def test_empty_hamiltonian_gives_an_empty_table(self):
+        x, z = pauli_masks([("Y", "I")], 2)
+        rows, codes, values = i_commutator_table(x, z, OperatorSum(2))
+        assert rows.size == codes.size == values.size == 0
+
+
 class TestHsInner:
     """The oracles' Hilbert-Schmidt inner product, which ``solve_agp`` builds on."""
 
@@ -168,6 +212,15 @@ class TestToDense:
         np.testing.assert_array_equal(
             to_dense(OperatorSum(2, {("X", "X"): 1.0})), np.fliplr(np.eye(4, dtype=complex))
         )
+
+    def test_matches_kronecker_sums_bitwise(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, 6):
+            for _ in range(4):
+                op = OperatorSum(n, {random_letters(rng, n): complex(*rng.standard_normal(2))
+                                     for _ in range(6)})
+                np.testing.assert_array_equal(to_dense(op), oracles.dense_operator(n, op.terms))
+        np.testing.assert_array_equal(to_dense(OperatorSum(2)), np.zeros((4, 4)))
 
     def test_site_cap(self):
         op = OperatorSum(13, {tuple(["I"] * 13): 1.0})
