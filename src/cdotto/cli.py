@@ -6,8 +6,17 @@ Usage:
              [--format csv|json] [--workers K] [--steps-per-unit-time S]
 
 Exactly the columns below are written, one row per grid point, floats in
-shortest round-trip decimals so reruns are byte-identical.  A JSON manifest
-(config digest, timings, per-point failures) is written last.
+shortest round-trip decimals so reruns are byte-identical.  Per-point
+diagnostics (wall time, Qc and steps per step-doubling pass, trace and
+purity drift, AGP fallbacks, gap flag) go to ``diagnostics.json``, and a
+JSON manifest (config digest, timings, per-point failures, the diagnostics
+file) is written last.  Each finished point prints a progress line on
+stderr.
+
+Every process of a run uses one BLAS thread unless OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS says otherwise: the pin is set below, before numpy is first
+imported, so the forked workers of ``cycle.sweep`` never start a BLAS
+thread pool and K workers use K cores.
 """
 
 from __future__ import annotations
@@ -21,10 +30,14 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
-from .config import PRESETS, config_digest, parse_config_text, resolve_blocks
-from .cycle import CycleReport, RunOptions, sweep
-from .errors import ConfigError
+# before the package imports, which load numpy and so start its BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from . import __version__  # noqa: E402
+from .config import PRESETS, config_digest, parse_config_text, resolve_blocks  # noqa: E402
+from .cycle import CycleReport, RunOptions, default_workers, sweep  # noqa: E402
+from .errors import ConfigError  # noqa: E402
 
 CSV_COLUMNS = (
     "N", "p", "tau1", "tau3", "tau2", "tau4", "Tc", "Th",
@@ -44,6 +57,7 @@ class RunManifest:
     finished: str
     failures: list
     options: dict
+    diagnostics: str = "diagnostics.json"
 
 
 def _cell(value) -> str:
@@ -61,7 +75,11 @@ def _row_values(report: CycleReport) -> dict:
 
 
 def emit_results(reports, fmt: str, out_dir: Path, manifest: RunManifest):
-    """Write the result table and then the manifest; returns the paths."""
+    """Write the result table, the diagnostics and then the manifest; returns the paths.
+
+    The diagnostics file, named by the manifest, lists one object per
+    completed point: its grid index and label, then ``report.diagnostics``.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [_row_values(r) for r in reports if r is not None]
@@ -81,6 +99,11 @@ def emit_results(reports, fmt: str, out_dir: Path, manifest: RunManifest):
             fh.write("\n")
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
+    points = [{"index": idx, "label": r.label, **r.diagnostics}
+              for idx, r in enumerate(reports) if r is not None]
+    with (out_dir / manifest.diagnostics).open("w") as fh:
+        json.dump(points, fh, indent=1)
+        fh.write("\n")
     manifest_path = out_dir / "manifest.json"
     with manifest_path.open("w") as fh:
         json.dump(asdict(manifest), fh, indent=1)
@@ -167,7 +190,7 @@ def main(argv=None) -> int:
         "converge_tol": options.converge_tol,
     }
     digest = config_digest(blocks, options_echo)
-    workers = args.workers or os.cpu_count() or 1
+    workers = args.workers or default_workers()
 
     # fail on an unusable output directory before any cycle is computed
     try:
@@ -179,8 +202,22 @@ def main(argv=None) -> int:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return 2
 
+    finished_points = 0
+
+    def progress(idx, report, error):
+        nonlocal finished_points
+        finished_points += 1
+        head = f"[{finished_points}/{len(configs)}] {configs[idx].label}"
+        if error is not None:
+            print(f"{head}: failed", file=sys.stderr, flush=True)
+        else:
+            diag = report.diagnostics
+            print(f"{head}: Qc={report.Qc:.6g} steps={report.steps} "
+                  f"passes={len(diag['pass_qc'])} {diag['wall_s']:.2f} s",
+                  file=sys.stderr, flush=True)
+
     started = datetime.now(timezone.utc).isoformat()
-    result = sweep(configs, options, workers=workers)
+    result = sweep(configs, options, workers=workers, on_point=progress)
     finished = datetime.now(timezone.utc).isoformat()
 
     manifest = RunManifest(

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,7 +181,12 @@ def cd_cost(times: np.ndarray, hcd_norm_sq: np.ndarray, nu: float) -> float:
 
 
 def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleReport:
-    """Propagate one full cycle and assemble every reported metric."""
+    """Propagate one full cycle and assemble every reported metric.
+
+    The report's ``diagnostics`` carry the point's wall time and, per
+    step-doubling pass, the pumped heat and the steps of both strokes.
+    """
+    t0 = time.perf_counter()
     opt = options or RunOptions()
     n = cfg.n_sites
     h0_cold = h0_at(cfg.params, 0.0)
@@ -202,19 +208,20 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     steps1 = opt.stroke_steps(cfg.tau1)
     steps3 = opt.stroke_steps(cfg.tau3)
     s1, s3 = once(steps1, steps3)
+    pass_qc = [s1.e_start - s3.e_end]
+    pass_steps = [steps1 + steps3]
     converged: bool | None = None
     if opt.converge:
         converged = False
-        qc_prev = s1.e_start - s3.e_end
         for _ in range(opt.max_doublings):
             steps1 *= 2
             steps3 *= 2
             s1, s3 = once(steps1, steps3)
-            qc_now = s1.e_start - s3.e_end
-            if abs(qc_now - qc_prev) <= opt.converge_tol:
+            pass_qc.append(s1.e_start - s3.e_end)
+            pass_steps.append(steps1 + steps3)
+            if abs(pass_qc[-1] - pass_qc[-2]) <= opt.converge_tol:
                 converged = True
                 break
-            qc_prev = qc_now
 
     # endpoint energies; the control term vanishes at every stroke end
     e_a, e_b = s1.e_start, s1.e_end
@@ -231,6 +238,9 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
         "agp_fallbacks": s1.diagnostics.agp_fallbacks + s3.diagnostics.agp_fallbacks,
         "gap_flag": ref.gap_flag,
         "e_a": e_a, "e_b": e_b, "e_c": e_c, "e_d": e_d,
+        "pass_qc": pass_qc,
+        "pass_steps": pass_steps,
+        "wall_s": time.perf_counter() - t0,
     }
 
     return CycleReport(
@@ -277,29 +287,58 @@ def _run_point(task):
         return idx, None, f"{type(exc).__name__}: {exc}"
 
 
+def default_workers() -> int:
+    """Worker count of a sweep when none is given: the CPUs this process may run on.
+
+    With one BLAS thread per worker (see ``sweep``) this is the number of
+    cores the sweep can keep busy.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep(configs, options: RunOptions | None = None,
-          workers: int | None = None) -> SweepResult:
+          workers: int | None = None, on_point=None) -> SweepResult:
     """Run independent cycles over a grid of configurations.
 
     Points are distributed over a process pool and collected in input
     order; a failing point is recorded and the sweep continues.  Worker
     count 1 and K traverse identical code paths, so the result tables
-    match bitwise.
+    match bitwise.  ``on_point(index, report, error)`` is called in this
+    process as each point finishes, in finishing order.
+
+    Threads: the workers are forked and inherit this process's BLAS.
+    ``cdotto run`` pins OpenBLAS/OpenMP to one thread before numpy is
+    first imported (``cdotto.cli``; an explicit ``OPENBLAS_NUM_THREADS``
+    or ``OMP_NUM_THREADS`` wins), so K workers use K cores and fork from
+    a BLAS library that never started a thread pool: the matrices here
+    (16 x 16 to 175 x 175 in the shipped workloads) gain nothing from a
+    second thread, which only spins.  A library caller that imports numpy
+    first owns its BLAS threads and should set those variables itself.
+    The pool keeps the ``fork`` start method: with the same pin, ``spawn``
+    re-imports numpy and cdotto in every child and measured about 0.28 s
+    more per invocation (the ``survey`` benchmark went from 2.77 to 3.34 s).
     """
     configs = list(configs)
     if not configs:
         return SweepResult([], [])
     opt = options or RunOptions()
-    workers = workers or os.cpu_count() or 1
+    workers = workers or default_workers()
     workers = max(1, min(workers, len(configs)))
     tasks = [(i, cfg, opt) for i, cfg in enumerate(configs)]
     reports: list = [None] * len(configs)
     failures: list = []
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        for idx, report, error in pool.map(_run_point, tasks, chunksize=1):
+        futures = [pool.submit(_run_point, task) for task in tasks]
+        for future in as_completed(futures):
+            idx, report, error = future.result()
             if error is not None:
                 failures.append((idx, error))
             else:
                 reports[idx] = report
+            if on_point is not None:
+                on_point(idx, report, error)
+    failures.sort()
     return SweepResult(reports=reports, failures=failures)

@@ -33,6 +33,10 @@ PRUNE_TOL = 1e-14
 #: Largest site count for which a dense 2^N x 2^N realization is built.
 DENSE_SITE_CAP = 12
 
+#: Entries (string entries plus output entries) that one ``dense_strings`` scatter
+#: chunk aims at; a single slot larger than this is scattered on its own.
+SCATTER_CHUNK = 1 << 17
+
 LETTERS = ("I", "X", "Y", "Z")
 
 # Single-site products a * b == phase * letter.
@@ -229,21 +233,36 @@ def dense_strings(n_sites: int, x: np.ndarray, z: np.ndarray, weights: np.ndarra
     The phases i^{#Y} are the caller's to fold into ``weights``.  Real
     weights give a real (n_slots, 2^N, 2^N) array, complex weights a
     complex one.
+
+    The scatter runs a few whole slots at a time, so its index, sign and
+    value arrays stay near ``SCATTER_CHUNK`` entries however many strings
+    there are.  An entry belongs to one slot, so chunking leaves every sum
+    bitwise as it was.
     """
     dim = 1 << n_sites
-    j = np.arange(dim)
-    sign = 1 - 2 * (_popcount(j & z[:, None]) & 1)
     slot = np.zeros(len(x), dtype=np.int64) if slots is None else np.asarray(slots)
-    flat = ((slot[:, None] * dim + (j ^ x[:, None])) * dim + j).ravel()
-    vals = (weights[:, None] * sign).ravel()
-    size = n_slots * dim * dim
-    if np.iscomplexobj(vals):
-        out = np.empty(size, dtype=complex)
-        out.real = np.bincount(flat, vals.real, size)
-        out.imag = np.bincount(flat, vals.imag, size)
-    else:
-        out = np.bincount(flat, vals, size)
-    return out.reshape(n_slots, dim, dim)
+    order = np.argsort(slot, kind="stable")
+    starts = np.searchsorted(slot[order], np.arange(n_slots + 1))
+    out = np.empty((n_slots, dim, dim), dtype=complex if np.iscomplexobj(weights) else float)
+    j = np.arange(dim)
+    lo = 0
+    while lo < n_slots:
+        hi = lo + 1
+        while (hi < n_slots and (starts[hi + 1] - starts[lo]) * dim
+               + (hi + 1 - lo) * dim * dim <= SCATTER_CHUNK):
+            hi += 1
+        pick = order[starts[lo]:starts[hi]]
+        sign = 1 - 2 * (_popcount(j & z[pick, None]) & 1)
+        flat = (((slot[pick, None] - lo) * dim + (j ^ x[pick, None])) * dim + j).ravel()
+        vals = (weights[pick, None] * sign).ravel()
+        block = out[lo:hi].reshape(-1)
+        if np.iscomplexobj(vals):
+            block.real = np.bincount(flat, vals.real, block.size)
+            block.imag = np.bincount(flat, vals.imag, block.size)
+        else:
+            block[:] = np.bincount(flat, vals, block.size)
+        lo = hi
+    return out
 
 
 def to_dense(a: OperatorSum) -> np.ndarray:

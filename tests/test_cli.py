@@ -10,6 +10,7 @@ import pytest
 
 import cdotto
 from cdotto.cli import CSV_COLUMNS, RunManifest, emit_results, main
+from cdotto.cycle import default_workers
 
 CONFIG = "N = 1,2\np = 0,1\ntau = 0.5\n"
 
@@ -48,6 +49,44 @@ class TestRun:
         assert manifest["failures"] == []
         assert manifest["tool_version"]
         assert len(manifest["config_digest"]) == 64
+
+    def test_diagnostics_sidecar_and_progress(self, tmp_path, config_file, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", str(config_file), "--out", str(out),
+                        "--steps-per-unit-time", "400", "--workers", "2"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        points = json.loads((out / manifest["diagnostics"]).read_text())
+        assert [pt["index"] for pt in points] == [0, 1, 2, 3]
+        for pt in points:
+            assert pt["label"].startswith("N=")
+            assert pt["pass_steps"] == [2000] and len(pt["pass_qc"]) == 1
+            assert pt["wall_s"] > 0 and pt["agp_fallbacks"] == 0
+            assert pt["trace_drift"] <= 1e-10 and pt["purity_drift"] <= 1e-10
+        progress = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("[")]
+        assert sorted(line.split("]")[0] for line in progress) == \
+            ["[1/4", "[2/4", "[3/4", "[4/4"]
+        assert all("steps=2000 passes=1" in line for line in progress)
+
+    def test_converged_point_records_every_pass(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("N = 1\np = 0\ntau = 0.5\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        (pt,) = json.loads((out / "diagnostics.json").read_text())
+        row = dict(zip(CSV_COLUMNS, (out / "results.csv").read_text().split("\n")[1].split(",")))
+        assert len(pt["pass_qc"]) == len(pt["pass_steps"]) >= 2
+        assert pt["pass_steps"][-1] == int(row["steps"])
+        assert pt["pass_qc"][-1] == float(row["Qc"])
+
+    def test_manifest_records_default_workers(self, tmp_path, config_file):
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", str(config_file), "--out", str(out),
+                        "--steps-per-unit-time", "400"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count()
+        assert manifest["workers"] == default_workers() == expected
 
     def test_reruns_are_byte_identical(self, tmp_path, config_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -184,6 +223,44 @@ class TestEmit:
     def test_empty_json(self, tmp_path):
         results, _ = emit_results([], "json", tmp_path, self._manifest())
         assert json.loads(results.read_text()) == []
+        assert json.loads((tmp_path / "diagnostics.json").read_text()) == []
+
+
+# cdotto.cli first, as in a `cdotto run` process; then a matmul large enough
+# for OpenBLAS to use its threads, and the thread count of the process
+BLAS_PROBE = ("import os, cdotto.cli, numpy as np; "
+              "a = np.random.default_rng(0).random((300, 300)); a @ a; "
+              "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+
+
+def run_blas_probe(**blas_env):
+    """(thread count, OPENBLAS_NUM_THREADS) of a fresh process running BLAS_PROBE."""
+    env = tree_env()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(var, None)
+    env.update(blas_env)
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    threads, openblas = proc.stdout.split()
+    return int(threads), openblas
+
+
+needs_proc_tasks = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                                      reason="needs /proc/self/task")
+
+
+@needs_proc_tasks
+def test_cli_import_pins_one_blas_thread():
+    assert run_blas_probe() == (1, "1")
+
+
+@needs_proc_tasks
+def test_explicit_blas_threads_are_kept():
+    threads, openblas = run_blas_probe(OPENBLAS_NUM_THREADS="2")
+    assert openblas == "2"
+    if default_workers() >= 2:
+        assert threads == 2
 
 
 def test_import_loads_no_scipy():
