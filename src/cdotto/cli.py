@@ -12,11 +12,6 @@ purity drift, AGP fallbacks, gap flag) go to ``diagnostics.json``, and a
 JSON manifest (config digest, timings, per-point failures, the diagnostics
 file) is written last.  Each finished point prints a progress line on
 stderr.
-
-Every process of a run uses one BLAS thread unless OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS says otherwise: the pin is set below, before numpy is first
-imported, so the forked workers of ``cycle.sweep`` never start a BLAS
-thread pool and K workers use K cores.
 """
 
 from __future__ import annotations
@@ -30,7 +25,8 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-# before the package imports, which load numpy and so start its BLAS
+# one BLAS thread per process unless the environment says otherwise (see
+# cycle.sweep); set before the package imports, which load numpy
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

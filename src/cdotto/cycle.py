@@ -313,12 +313,13 @@ def sweep(configs, options: RunOptions | None = None,
     first imported (``cdotto.cli``; an explicit ``OPENBLAS_NUM_THREADS``
     or ``OMP_NUM_THREADS`` wins), so K workers use K cores and fork from
     a BLAS library that never started a thread pool: the matrices here
-    (16 x 16 to 175 x 175 in the shipped workloads) gain nothing from a
+    (16 x 16 to 175 x 175 in the benchmark workloads) gain nothing from a
     second thread, which only spins.  A library caller that imports numpy
     first owns its BLAS threads and should set those variables itself.
     The pool keeps the ``fork`` start method: with the same pin, ``spawn``
-    re-imports numpy and cdotto in every child and measured about 0.28 s
-    more per invocation (the ``survey`` benchmark went from 2.77 to 3.34 s).
+    re-imports numpy and cdotto in every child, about 0.3 s more per
+    invocation on a 2-core machine (a ``survey`` benchmark round of two
+    invocations went from 2.84 to 3.49 s).
     """
     configs = list(configs)
     if not configs:
