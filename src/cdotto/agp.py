@@ -13,8 +13,9 @@ stationarity condition is the linear system
 
 with C_a = i [O_a, H0(theta)] (Sels & Polkovnikov, PNAS 114, E3909 (2017)).
 ``AgpSolver`` precomputes the theta-dependence (H0 is affine in theta, so
-gram and v are polynomial in theta) and serves cached per-theta solutions
-fast enough to be called once per integrator step.  The commutators of all
+gram and v are polynomial in theta) and solves a whole vector of theta at
+once, one chunk of a stroke grid per call, caching each solution by its
+theta.  The commutators of all
 strings come from one vectorized pass over their binary (x, z) masks
 (``cdotto.paulis.i_commutator_table``), as a sparse table of string,
 pattern and coefficient.  The solver works in reduced coordinates beta with
@@ -105,9 +106,13 @@ def _sparse_matmul(rows, cols, vals, n_rows: int, mat: np.ndarray) -> np.ndarray
     return np.stack([np.bincount(rows, vals * col[cols], n_rows) for col in mat.T], axis=1)
 
 
-def _grams(b0: np.ndarray, b1: np.ndarray, scale: float):
-    """P0, P1, P2 of gram(theta) = scale (b0 + theta b1)(b0 + theta b1)^T."""
-    return (scale * (b0 @ b0.T), scale * (b0 @ b1.T + b1 @ b0.T), scale * (b1 @ b1.T))
+def _grams(b0: np.ndarray, b1: np.ndarray, scale: float) -> np.ndarray:
+    """P0, P1, P2 of gram(theta) = scale (b0 + theta b1)(b0 + theta b1)^T, stacked."""
+    out = np.empty((3, len(b0), len(b0)))
+    out[0] = scale * (b0 @ b0.T)
+    out[1] = scale * (b0 @ b1.T + b1 @ b0.T)
+    out[2] = scale * (b1 @ b1.T)
+    return out
 
 
 class AgpSolver:
@@ -129,18 +134,28 @@ class AgpSolver:
     strings); the m x r products P_k q = 2^N b_i (b_j^T q) and the targets
     w_k are formed straight from the tables, and no m x m or dense b matrix
     is held.  Otherwise q = I, beta is alpha, and b0, b1 and the P_k are
-    dense.  Per theta the reduced system (q^T P q) beta = q^T w must pass a
-    Cholesky factorization and is then solved; the result is checked
-    against the full normal equations,
-    g = sum_k theta^k (P_k q) beta - w0 - theta w1.  A failed factorization
-    or check falls back to minimum-norm least squares on the full system
-    (counted in ``fallbacks``); for uniform endpoints that is the one place
-    the m x m gram is formed.
+    dense.
+
+    One path solves every theta: ``reduced_batch`` takes a vector of theta,
+    serves those already in the cache and solves the rest together.  Their
+    reduced systems (q^T P q) beta = q^T w are stacked, must pass one
+    stacked Cholesky factorization and are then solved by one stacked
+    ``np.linalg.solve``; each solution is checked against the full normal
+    equations, g = sum_k theta^k (P_k q) beta - w0 - theta w1, with the
+    residuals of all of them taken as one stacked product with the P_k q.
+    If the stacked factorization fails, each theta goes through the same
+    path on its own.  A single theta whose factorization or check fails
+    falls back to minimum-norm least squares on the full system (counted in
+    ``fallbacks``); for uniform endpoints that is the one place the m x m
+    gram is formed.  ``reduced_coefficients(theta)`` is the one-theta
+    call of the same path.
 
     The propagator uses the ``reduced_*`` members only:
     H_CD = theta_dot * sum_B beta_B O_B with O_B = sum_a q_aB O_a, and
-    ||alpha|| = ||beta||.  Reduced solutions are cached by exact theta value;
-    concurrent cache insertion is benign (worst case a duplicate solve).
+    ||alpha|| = ||beta||.  Reduced solutions are cached by exact theta
+    value, so strokes that share a solver share its solutions.  The cache
+    and ``fallbacks`` are updated without a lock: a solver is not meant to
+    be shared between threads (each sweep worker process builds its own).
     """
 
     def __init__(self, params: EndpointParams, basis: AnsatzBasis):
@@ -180,15 +195,16 @@ class AgpSolver:
 
             b0q, b1q = (_sparse_matmul(cols, rows, vals, n_pat, q)
                         for rows, cols, vals in self._tables)
-            self._pq = (scale * b(0, b0q), scale * (b(0, b1q) + b(1, b0q)),
-                        scale * b(1, b1q))
+            self._pq_stack = np.stack([scale * b(0, b0q), scale * (b(0, b1q) + b(1, b0q)),
+                                       scale * b(1, b1q)])
             self._w0, self._w1 = (-scale * b(k, d[:, None])[:, 0] for k in (0, 1))
-            self._r = tuple(q.T @ pq for pq in self._pq)
+            self._r = tuple(q.T @ self._pq_stack)
             self._u = (q.T @ self._w0, q.T @ self._w1)
         else:
             self._q = None
             b0, b1 = self._dense_tables()
-            self._pq = self._r = _grams(b0, b1, scale)
+            self._pq_stack = _grams(b0, b1, scale)
+            self._r = tuple(self._pq_stack)
             self._w0 = -scale * (b0 @ d)
             self._w1 = -scale * (b1 @ d)
             self._u = (self._w0, self._w1)
@@ -222,49 +238,79 @@ class AgpSolver:
                                         weights * string_phases(x, z).imag, slots, n_slots)
         return self._stack
 
-    def _normal_residual(self, theta: float, beta: np.ndarray) -> float:
-        """Norm of the full normal-equation residual P(theta) q beta - w(theta)."""
-        p0q, p1q, p2q = self._pq
-        g = p0q @ beta + theta * (p1q @ beta) \
-            + (theta * theta) * (p2q @ beta) - self._w0 - theta * self._w1
-        return float(np.linalg.norm(g))
+    def _normal_residual(self, thetas, betas) -> np.ndarray:
+        """Norms of the full normal-equation residuals P(theta) q beta - w(theta).
 
-    def _target_norm(self, theta: float) -> float:
-        return float(np.linalg.norm(self._w0 + theta * self._w1))
+        ``betas`` has the shape of ``thetas`` plus a last axis of r; the
+        products of all of them with the P_k q are one stacked matrix product.
+        """
+        t = np.asarray(thetas, dtype=float)[..., None]
+        g0, g1, g2 = betas @ self._pq_stack.transpose(0, 2, 1)
+        g = g0 + t * (g1 + t * g2) - self._w0 - t * self._w1
+        return np.sqrt(np.vecdot(g, g))
+
+    def _target_norm(self, thetas) -> np.ndarray:
+        w = self._w0 + np.asarray(thetas, dtype=float)[..., None] * self._w1
+        return np.sqrt(np.vecdot(w, w))
+
+    def _least_squares(self, theta: float) -> np.ndarray:
+        """Reduced minimum-norm least-squares solution of the full system at theta."""
+        p0, p1, p2 = self._r if self._q is None else _grams(*self._dense_tables(), self._scale)
+        gram = p0 + theta * p1 + (theta * theta) * p2
+        v = self._w0 + theta * self._w1
+        alpha = np.linalg.lstsq(gram, v, rcond=LSTSQ_RCOND)[0]
+        return alpha if self._q is None else self._q.T @ alpha
+
+    def _solve(self, thetas: np.ndarray) -> None:
+        """Solve the stacked reduced systems of distinct uncached thetas and cache each beta."""
+        r0, r1, r2 = self._r
+        t = thetas[:, None, None]
+        gram = r0 + t * (r1 + t * r2)
+        u = self._u[0] + thetas[:, None] * self._u[1]
+        try:
+            # positive-definiteness gate; numpy has no triangular solve that
+            # could reuse the factors, so the solve factors again
+            np.linalg.cholesky(gram)
+            beta = np.linalg.solve(gram, u[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            if len(thetas) > 1:
+                for k in range(len(thetas)):
+                    self._solve(thetas[k:k + 1])
+                return
+            beta = np.full(u.shape, np.nan)
+        tol = RESIDUAL_RTOL * (1.0 + self._target_norm(thetas))
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite beta fails anyway
+            ok = np.isfinite(beta).all(axis=1) & (self._normal_residual(thetas, beta) <= tol)
+        if not ok.all():
+            for k in np.flatnonzero(~ok):
+                beta[k] = self._least_squares(thetas[k])
+                self.fallbacks += 1
+        # one array per entry, so no entry holds the chunk's arrays alive
+        for theta, row in zip(thetas.tolist(), beta):
+            row = row.copy()
+            row.setflags(write=False)
+            self._cache[theta] = row
+
+    def _cached(self, thetas) -> list[np.ndarray]:
+        """The cached beta of each theta, after solving the missing ones in one batch."""
+        keys = np.asarray(thetas, dtype=float).ravel().tolist()
+        missing = [t for t in dict.fromkeys(keys) if t not in self._cache]
+        if missing:
+            self._solve(np.array(missing))
+        return [self._cache[t] for t in keys]
+
+    def reduced_batch(self, thetas) -> np.ndarray:
+        """Reduced solutions beta(theta) for a vector of theta, one row each."""
+        return np.array(self._cached(thetas))
 
     def reduced_coefficients(self, theta: float) -> np.ndarray:
         """Reduced solution beta(theta); repeat calls return the same read-only array."""
-        theta = float(theta)
-        cached = self._cache.get(theta)
-        if cached is not None:
-            return cached
-        r0, r1, r2 = self._r
-        u0, u1 = self._u
-        r = r0 + theta * (r1 + theta * r2)
-        u = u0 + theta * u1
-        try:
-            # positive-definiteness gate; numpy has no triangular solve that
-            # could reuse the factor, so the solve factors again
-            np.linalg.cholesky(r)
-            beta = np.linalg.solve(r, u)
-        except np.linalg.LinAlgError:
-            beta = None
-        if beta is not None:
-            tol = RESIDUAL_RTOL * (1.0 + self._target_norm(theta))
-            if not np.isfinite(beta).all() or self._normal_residual(theta, beta) > tol:
-                beta = None
-        if beta is None:
-            p0, p1, p2 = self._r if self._q is None else _grams(*self._dense_tables(),
-                                                                self._scale)
-            gram = p0 + theta * p1 + (theta * theta) * p2
-            v = self._w0 + theta * self._w1
-            alpha = np.linalg.lstsq(gram, v, rcond=LSTSQ_RCOND)[0]
-            beta = alpha if self._q is None else self._q.T @ alpha
-            self.fallbacks += 1
-        beta = np.ascontiguousarray(beta)
-        beta.setflags(write=False)
-        self._cache[theta] = beta
-        return beta
+        return self._cached([theta])[0]
+
+    @property
+    def cache_size(self) -> tuple[int, int]:
+        """Entries and bytes of the per-theta cache (every entry holds r floats)."""
+        return len(self._cache), len(self._cache) * self._u[0].nbytes
 
     def coefficients(self, theta: float) -> np.ndarray:
         """Full-basis solution alpha(theta) = q beta(theta)."""

@@ -7,8 +7,9 @@ Usage:
 
 Exactly the columns below are written, one row per grid point, floats in
 shortest round-trip decimals so reruns are byte-identical.  Per-point
-diagnostics (wall time, Qc and steps per step-doubling pass, trace and
-purity drift, AGP fallbacks, gap flag) go to ``diagnostics.json``, and a
+diagnostics (wall time and its split over the stroke layers, Qc and steps
+per step-doubling pass, trace and purity drift, AGP fallbacks and the size
+of the per-theta cache, gap flag) go to ``diagnostics.json``, and a
 JSON manifest (config digest, timings, per-point failures, the diagnostics
 file) is written last.  Each finished point prints a progress line on
 stderr.

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agp import AgpSolver, build_basis
-from .dynamics import gibbs_state, propagate_stroke
+from .dynamics import LAYERS, gibbs_state, propagate_stroke
 from .errors import DomainError
 from .model import EndpointParams, SweepSpec, h0_at
 from .paulis import to_dense
@@ -183,7 +183,9 @@ def cd_cost(times: np.ndarray, hcd_norm_sq: np.ndarray, nu: float) -> float:
 def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleReport:
     """Propagate one full cycle and assemble every reported metric.
 
-    The report's ``diagnostics`` carry the point's wall time and, per
+    The report's ``diagnostics`` carry the point's wall time, its split
+    over the stroke layers (``dynamics.LAYERS``, summed over every stroke
+    of every pass), the size of the solver's per-theta cache and, per
     step-doubling pass, the pumped heat and the steps of both strokes.
     """
     t0 = time.perf_counter()
@@ -198,11 +200,15 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     rho_a = gibbs_state(h0_cold, cfg.Tc)
     rho_c = gibbs_state(h0_hot, cfg.Th)
 
+    layer_s = dict.fromkeys(LAYERS, 0.0)
+
     def once(steps1: int, steps3: int):
         s1 = propagate_stroke(rho_a, cfg.params, SweepSpec(cfg.tau1), cd=solver,
                               steps=steps1)
         s3 = propagate_stroke(rho_c, cfg.params, SweepSpec(cfg.tau3, reverse=True),
                               cd=solver, steps=steps3)
+        for name in LAYERS:
+            layer_s[name] += s1.diagnostics.layer_s[name] + s3.diagnostics.layer_s[name]
         return s1, s3
 
     steps1 = opt.stroke_steps(cfg.tau1)
@@ -232,6 +238,7 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     w3 = s3.w_sta
     w_total = w1 + w3
 
+    cache_entries, cache_bytes = solver.cache_size if solver is not None else (0, 0)
     diagnostics = {
         "trace_drift": max(s1.diagnostics.trace_drift, s3.diagnostics.trace_drift),
         "purity_drift": max(s1.diagnostics.purity_drift, s3.diagnostics.purity_drift),
@@ -240,6 +247,9 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
         "e_a": e_a, "e_b": e_b, "e_c": e_c, "e_d": e_d,
         "pass_qc": pass_qc,
         "pass_steps": pass_steps,
+        "layer_s": layer_s,
+        "agp_cache_entries": cache_entries,
+        "agp_cache_bytes": cache_bytes,
         "wall_s": time.perf_counter() - t0,
     }
 

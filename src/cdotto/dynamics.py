@@ -11,10 +11,23 @@ state act alike on every copy of a collective-spin block, so the stroke
 runs on one copy of each (``cdotto.collective``) and weights its traces by
 the block multiplicities; otherwise it runs on the full 2^N space with unit
 weights.  The step itself is the same in both.
+
+The stroke grid is worked through in chunks of K consecutive steps.  Per
+chunk the solver serves the reduced coefficients of every midpoint in one
+batched solve, the K Hamiltonians are assembled by one product of the
+coefficients with the stack of control operators, and one stacked ``eigh``
+and one stacked product give the K step unitaries; only the conjugation
+rho <- U rho U^dagger runs step by step, and one ``einsum`` takes the K
+trace samples.  K is bounded in bytes, not in steps: the K steps' dense
+matrices, the solver's r x r systems and its m-long residual columns must
+fit in ``CHUNK_BYTES``, so small spaces take whole strokes in a few chunks
+while a large full-space solve runs one step per chunk, with the memory of
+a step-by-step loop.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +44,25 @@ MIN_STEPS = 100
 #: largest entry of |lift(project(rho0)) - rho0| that still counts rho0 as
 #: permutation-symmetric
 SYMMETRY_TOL = 1e-12
+
+#: bytes of per-step work arrays one chunk of a stroke may hold; a chunk
+#: runs max(1, CHUNK_BYTES // _step_bytes(...)) steps
+CHUNK_BYTES = 1 << 19
+
+#: the layers of a stroke whose wall time the diagnostics report, in step order
+LAYERS = ("solve_s", "assemble_s", "eigh_u_s", "conjugate_s", "trace_s")
+
+
+def _step_bytes(dim: int, r: int, m: int) -> int:
+    """Work-array bytes of one step of a chunk in a dim x dim space, with a
+    solver of r reduced coordinates and m strings (r = m = 0 when bare).
+
+    About seven complex and two real dim x dim matrices (the Hamiltonian
+    and its parts, the eigenvectors, U, their adjoints and the state), four
+    r x r matrices of the stacked solve (the systems, their factors and
+    temporaries) and four m-long residual columns.
+    """
+    return 8 * (16 * dim * dim + 4 * r * r + 4 * m)
 
 
 def _re_trace_product(rho: np.ndarray, mat: np.ndarray) -> float:
@@ -118,6 +150,8 @@ class StrokeDiagnostics:
     hcd_times: np.ndarray
     hcd_norm_sq: np.ndarray
     agp_fallbacks: int
+    #: wall seconds spent in each of ``LAYERS``
+    layer_s: dict
 
 
 @dataclass(frozen=True)
@@ -156,6 +190,8 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
 
     The generators and ``rho0`` are projected once onto the stroke's space
     (see the module docstring) and the final state is lifted back to 2^N.
+    The steps run in chunks (module docstring); the diagnostics also carry
+    the wall time spent in each layer of the chunked step (``LAYERS``).
     """
     if rho0.n_sites != params.n_sites:
         raise DimensionError("state and parameters differ in n_sites")
@@ -193,23 +229,45 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     f0[0] = grid.theta_dot[0] * _re_trace_product(rho, ddw)
     norm_sq = np.zeros(steps)
 
-    for k in range(steps):
-        th = grid.theta_mid[k]
-        td = grid.theta_dot_mid[k]
-        if solver is None:
-            energies, vecs = np.linalg.eigh(d0 + th * dd)
-        else:
-            beta = solver.reduced_coefficients(th)
-            norm_sq[k] = (td * td) * scale * float(beta @ beta)
-            h = np.empty(d0.shape, dtype=complex)
-            h.real = d0 + th * dd
-            h.imag = td * np.tensordot(beta, stack, axes=1)
-            energies, vecs = np.linalg.eigh(h)
-        u = (vecs * np.exp((-1j * dt) * energies)) @ vecs.conj().T
-        rho = u @ rho @ u.conj().T
-        if not np.isfinite(rho).all():
-            raise NumericalError(f"non-finite state at step {k + 1} of {steps}")
-        f0[k + 1] = grid.theta_dot[k + 1] * _re_trace_product(rho, ddw)
+    dim = d0.shape[0]
+    r, m = (stack.shape[0], solver.basis.size) if solver is not None else (0, 0)
+    chunk = max(1, CHUNK_BYTES // _step_bytes(dim, r, m))
+    if solver is not None:
+        stack = stack.reshape(r, dim * dim)
+    layer_s = dict.fromkeys(LAYERS, 0.0)
+    for start in range(0, steps, chunk):
+        stop = min(start + chunk, steps)
+        th = grid.theta_mid[start:stop]
+        t0 = time.perf_counter()
+        if solver is not None:
+            beta = solver.reduced_batch(th)
+        t1 = time.perf_counter()
+        h = d0 + th[:, None, None] * dd
+        if solver is not None:
+            td = grid.theta_dot_mid[start:stop]
+            norm_sq[start:stop] = (td * td) * scale * np.vecdot(beta, beta)
+            h_cd = np.empty(h.shape, dtype=complex)
+            h_cd.real = h
+            h_cd.imag = (td[:, None] * (beta @ stack)).reshape(h.shape)
+            h = h_cd
+        t2 = time.perf_counter()
+        energies, vecs = np.linalg.eigh(h)
+        u = (vecs * np.exp((-1j * dt) * energies)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        u_adj = u.conj().transpose(0, 2, 1)
+        t3 = time.perf_counter()
+        states = np.empty(u.shape, dtype=complex)
+        for j in range(stop - start):
+            rho = states[j] = u[j] @ rho @ u_adj[j]
+        finite = np.isfinite(states).all(axis=(1, 2))
+        if not finite.all():
+            raise NumericalError(f"non-finite state at step {start + int(finite.argmin()) + 1} "
+                                 f"of {steps}")
+        t4 = time.perf_counter()
+        f0[start + 1:stop + 1] = (grid.theta_dot[start + 1:stop + 1]
+                                  * np.einsum("kij,ji->k", states, ddw).real)
+        t5 = time.perf_counter()
+        for name, elapsed in zip(LAYERS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+            layer_s[name] += elapsed
 
     w_0 = float(np.trapezoid(f0, dx=dt))
     e_end = _re_trace_product(rho, d0w + grid.theta[-1] * ddw)
@@ -227,6 +285,7 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         hcd_times=np.concatenate(([0.0], grid.t_mid, [tau])),
         hcd_norm_sq=np.concatenate(([0.0], norm_sq, [0.0])),
         agp_fallbacks=(solver.fallbacks - fallbacks_before) if solver is not None else 0,
+        layer_s=layer_s,
     )
     return StrokeResult(final_state=final, w_sta=w_sta, w_0=w_0, w_cd=w_cd,
                         e_start=e_start, e_end=e_end, diagnostics=diag)

@@ -212,6 +212,22 @@ class TestSolverFastPath:
         beta = solver.reduced_coefficients(0.5)
         assert solver.reduced_coefficients(0.5) is beta
 
+    @pytest.mark.parametrize("kind", ["uniform", "disordered"])
+    def test_batch_equals_per_theta_solves(self, kind):
+        params = EndpointParams.uniform(4) if kind == "uniform" else disordered_params(4)
+        basis = build_basis(4, 3)
+        thetas = np.linspace(0.01, 0.99, 37)
+        batched, single = AgpSolver(params, basis), AgpSolver(params, basis)
+        betas = batched.reduced_batch(thetas)
+        want = np.array([single.reduced_coefficients(t) for t in thetas])
+        assert betas.shape == want.shape
+        assert np.abs(betas - want).max() <= 1e-12
+        # each theta is cached once, repeats included, and served from the cache
+        np.testing.assert_array_equal(batched.reduced_batch(np.repeat(thetas[:3], 2)),
+                                      np.repeat(betas[:3], 2, axis=0))
+        assert batched.cache_size == (len(thetas), len(thetas) * betas.shape[1] * 8)
+        assert batched.fallbacks == single.fallbacks == 0
+
 
 BUILD_CASES = [(kind, n) for kind in ("uniform", "disordered") for n in range(1, 7)]
 
@@ -235,7 +251,7 @@ class TestMaskBuild:
         # analytically and carry only roundoff in the reference
         p_scale = max(np.abs(x).max() for x in pq)
         w_scale = max(np.abs(x).max() for x in ref.w)
-        for got, want in zip(solver._pq, pq):
+        for got, want in zip(solver._pq_stack, pq):
             assert np.abs(got - want).max() <= 1e-12 * p_scale
         for got, want in zip(solver._r, pq):
             assert np.abs(got - q.T @ want).max() <= 1e-12 * p_scale
@@ -341,4 +357,28 @@ class TestReducedCoordinates:
             np.testing.assert_array_equal(beta, 0.0)
             assert solver.reduced_coefficients(0.5) is beta
             assert not beta.flags.writeable
+            assert solver.fallbacks == 1
+
+    def test_batch_with_zero_gram_counts_one_fallback(self):
+        # the system of test_gram_not_positive_definite_takes_counted_fallback
+        # inside a batch: its failed Cholesky sends every theta of the batch
+        # through the one-theta path, and only theta = 1/2 falls back
+        for params in (
+            EndpointParams.uniform(2, h_i=0.0, b_i=0.5, j_i=0.1,
+                                   h_f=0.0, b_f=-0.5, j_f=-0.1),
+            EndpointParams(h_i=[0.0, 0.0], b_i=[0.5, 0.3], j_i=[0.1],
+                           h_f=[0.0, 0.0], b_f=[-0.5, -0.3], j_f=[-0.1]),
+        ):
+            thetas = [0.2, 0.35, 0.5, 0.65, 0.8]
+            solver = AgpSolver(params, build_basis(2, 2))
+            betas = solver.reduced_batch(thetas)
+            assert solver.fallbacks == 1
+            np.testing.assert_array_equal(betas[2], 0.0)
+            single = AgpSolver(params, build_basis(2, 2))
+            for theta, beta in zip(thetas, betas):
+                np.testing.assert_array_equal(beta, single.reduced_coefficients(theta))
+            beta = solver.reduced_coefficients(0.5)
+            assert not beta.flags.writeable
+            assert solver.reduced_coefficients(0.5) is beta
+            solver.reduced_batch(thetas)
             assert solver.fallbacks == 1

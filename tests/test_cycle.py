@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from cdotto.agp import AgpSolver, build_basis
 from cdotto.cycle import (
     CycleConfig,
     RunOptions,
@@ -14,6 +15,7 @@ from cdotto.cycle import (
     run_cycle,
     sweep,
 )
+from cdotto.dynamics import LAYERS
 from cdotto.errors import DomainError
 from cdotto.model import EndpointParams, sweep_theta_dot
 
@@ -55,6 +57,20 @@ class TestRunCycle:
             closure = rep.W1 + rep.W3 + rep.Qc + rep.Qh
             scale = abs(rep.W1) + abs(rep.W3) + abs(rep.Qc) + abs(rep.Qh) + rep.Tc
             assert abs(closure) <= 1e-8 * scale
+
+    def test_diagnostics_split_wall_time_and_size_the_cache(self):
+        cfg = uniform_cfg(2, 2)
+        diag = run_cycle(cfg, FAST).diagnostics
+        assert tuple(diag["layer_s"]) == LAYERS
+        assert 0.0 < sum(diag["layer_s"].values()) <= diag["wall_s"]
+        # the reverse stroke's midpoints are the forward stroke's, so the
+        # cache holds one entry per step of one stroke
+        r = AgpSolver(cfg.params, build_basis(2, 2)).reduced_coefficients(0.5).size
+        steps = FAST.stroke_steps(cfg.tau1)
+        assert (diag["agp_cache_entries"], diag["agp_cache_bytes"]) == (steps, steps * r * 8)
+        bare = run_cycle(uniform_cfg(2, 0), FAST).diagnostics
+        assert (bare["agp_cache_entries"], bare["agp_cache_bytes"]) == (0, 0)
+        assert bare["layer_s"]["solve_s"] < bare["wall_s"]
 
     def test_single_site_exact_control_hits_lz_cop(self):
         rep = run_cycle(uniform_cfg(1, 1), RunOptions(converge=False))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
+from cdotto import dynamics
 from cdotto.agp import AgpSolver, build_basis
+from cdotto.collective import collective_basis
 from cdotto.dynamics import MIN_STEPS, DensityMatrix, gibbs_state, propagate_stroke
-from cdotto.errors import DimensionError, DomainError
+from cdotto.errors import DimensionError, DomainError, NumericalError
 from cdotto.model import EndpointParams, SweepSpec, h0_at
 from cdotto.paulis import OperatorSum, to_dense
 
@@ -215,6 +217,67 @@ class TestPropagation:
         assert np.abs(res.final_state.matrix - ref.final).max() <= 1e-10
         assert res.e_end == pytest.approx(ref.e_end, abs=1e-10)
         assert res.w_0 == pytest.approx(ref.w_0, abs=1e-10)
+
+    @pytest.mark.parametrize("kind,p", [("uniform", 0), ("uniform", 2),
+                                        ("disordered", 0), ("disordered", 2)])
+    def test_chunked_stroke_matches_one_chunk_and_oracle(self, kind, p, monkeypatch):
+        # uniform N = 4 runs in the collective-spin space (9 states),
+        # disordered N = 3 in the full one (8 states)
+        params = EndpointParams.uniform(4) if kind == "uniform" else disordered_params(3)
+        n = params.n_sites
+        dim = collective_basis(n).w.shape[1] if kind == "uniform" else 2 ** n
+        rho = gibbs_state(h0_at(params, 0.0), 0.2)
+        spec = SweepSpec(1.0)
+        steps = MIN_STEPS + 3  # not a multiple of the 7 steps of a chunk
+        solvers = [AgpSolver(params, build_basis(n, p)) if p else None for _ in range(3)]
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 1 << 40)
+        whole = propagate_stroke(rho, params, spec, cd=solvers[0], steps=steps)
+
+        r, m = (solvers[1].reduced_stack.shape[0], solvers[1].basis.size) if p else (0, 0)
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(dim, r, m))
+        chunk_sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(h):
+            chunk_sizes.append(len(h))
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        chunked = propagate_stroke(rho, params, spec, cd=solvers[1], steps=steps)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert chunk_sizes == [7] * (steps // 7) + [steps % 7]
+
+        assert np.abs(chunked.final_state.matrix - whole.final_state.matrix).max() <= 1e-12
+        for name in ("e_end", "w_0", "w_cd"):
+            assert getattr(chunked, name) == pytest.approx(getattr(whole, name), abs=1e-12)
+        np.testing.assert_allclose(chunked.diagnostics.hcd_norm_sq,
+                                   whole.diagnostics.hcd_norm_sq, rtol=0, atol=1e-12)
+        ref = oracles.dense_stroke(rho.matrix, params, 1.0, steps, solver=solvers[2],
+                                   cd_work=False)
+        assert np.abs(chunked.final_state.matrix - ref.final).max() <= 1e-10
+        assert chunked.e_end == pytest.approx(ref.e_end, abs=1e-10)
+        assert chunked.w_0 == pytest.approx(ref.w_0, abs=1e-10)
+
+    def test_non_finite_state_names_first_bad_step(self, monkeypatch):
+        # chunks of 7 steps; the eigenvectors of the fifth step of the third
+        # chunk (step 19) turn to nan, and so does every later state
+        rho = gibbs_state(h0_at(PARAMS2, 0.0), 0.2)
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(4, 0, 0))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def failing_eigh(h):
+            energies, vecs = eigh(h)
+            if h.ndim == 3:  # the stroke's stacked calls
+                calls.append(len(h))
+                if len(calls) == 3:
+                    vecs[4] = np.nan
+            return energies, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NumericalError, match=r"non-finite state at step 19 of 200$"):
+            propagate_stroke(rho, PARAMS2, SweepSpec(1.0), steps=200)
+        assert calls == [7, 7, 7]
 
     def test_control_must_be_a_solver(self):
         rho = gibbs_state(h0_at(PARAMS1, 0.0), 0.2)
