@@ -15,15 +15,16 @@ with C_a = i [O_a, H0(theta)] (Sels & Polkovnikov, PNAS 114, E3909 (2017)).
 ``AgpSolver`` precomputes the theta-dependence (H0 is affine in theta, so
 gram and v are polynomial in theta) and solves a whole vector of theta at
 once, one chunk of a stroke grid per call, caching each solution by its
-theta.  The commutators of all
-strings come from one vectorized pass over their binary (x, z) masks
-(``cdotto.paulis.i_commutator_table``), as a sparse table of string,
-pattern and coefficient.  The solver works in reduced coordinates beta with
-alpha = q beta: the permutation-orbit sums for uniform endpoints, the
-strings themselves otherwise.  Every reduced solution is checked against
-the full normal equations.  All linear algebra here is numpy's.  The tests
-keep a direct one-system-per-theta solve, the per-string symbolic build of
-the same system and the spectral gauge potential as references
+theta.  The commutators of all strings come from one vectorized pass over
+their binary (x, z) masks (``cdotto.paulis.i_commutator_table``), as a
+sparse table of string, pattern and coefficient.  The solver works in
+reduced coordinates beta with alpha = q beta, q given by a partition of
+the strings into orbits (``orbit_partition``): uniform and disordered
+endpoints take the same build and differ only in that partition.  Every
+reduced solution is checked against the full normal equations.  All
+linear algebra here is numpy's.  The tests keep a direct
+one-system-per-theta solve, the per-string symbolic build of the same
+system and the spectral gauge potential as references
 (``tests/oracles.py``).
 """
 
@@ -36,8 +37,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .model import EndpointParams, dh0_dtheta, h0_at
-from .paulis import (dense_strings, i_commutator_table, pattern_code, pauli_masks,
-                     string_phases)
+from .paulis import dense_strings, i_commutator_table, pauli_masks, string_phases
 
 #: rcond of the minimum-norm least-squares fallback on the full system
 LSTSQ_RCOND = 1e-12
@@ -82,20 +82,20 @@ def build_basis(n_sites: int, p: int) -> AnsatzBasis:
     return AnsatzBasis(n_sites, p, tuple(strings))
 
 
-def _orbit_projector(basis: AnsatzBasis) -> np.ndarray:
-    """Orthonormal basis of the site-permutation-symmetric coefficient subspace.
+def orbit_partition(params: EndpointParams, basis: AnsatzBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit and weight of each string, the one nonzero entry q[a, slots[a]] = weights[a].
 
-    Strings with the same letter multiset form one orbit; for uniform
-    endpoint parameters the gram matrix and target commute with the orbit
-    action, so the minimum-norm solution lives in this subspace.
+    For uniform endpoints the gram matrix and the target commute with site
+    permutations, so the minimum-norm solution is a sum over the orbits of
+    strings with one letter multiset, each string weighted 1/sqrt(orbit
+    size).  Otherwise each string is its own orbit and q = I.  Orbits are
+    numbered in the order of their first strings.
     """
-    orbits: dict[tuple[str, ...], list[int]] = {}
-    for idx, pat in enumerate(basis.strings):
-        orbits.setdefault(tuple(sorted(pat)), []).append(idx)
-    q = np.zeros((basis.size, len(orbits)))
-    for col, members in enumerate(orbits.values()):
-        q[members, col] = 1.0 / np.sqrt(len(members))
-    return q
+    uniform = params.is_uniform()
+    first: dict[tuple[str, ...], int] = {}
+    slots = np.array([first.setdefault(tuple(sorted(pat)) if uniform else pat, len(first))
+                      for pat in basis.strings])
+    return slots, 1.0 / np.sqrt(np.bincount(slots)[slots])
 
 
 def _sparse_matmul(rows, cols, vals, n_rows: int, mat: np.ndarray) -> np.ndarray:
@@ -103,52 +103,56 @@ def _sparse_matmul(rows, cols, vals, n_rows: int, mat: np.ndarray) -> np.ndarray
 
     One column at a time, so no temporary grows with the columns of mat.
     """
-    return np.stack([np.bincount(rows, vals * col[cols], n_rows) for col in mat.T], axis=1)
-
-
-def _grams(b0: np.ndarray, b1: np.ndarray, scale: float) -> np.ndarray:
-    """P0, P1, P2 of gram(theta) = scale (b0 + theta b1)(b0 + theta b1)^T, stacked."""
-    out = np.empty((3, len(b0), len(b0)))
-    out[0] = scale * (b0 @ b0.T)
-    out[1] = scale * (b0 @ b1.T + b1 @ b0.T)
-    out[2] = scale * (b1 @ b1.T)
+    out = np.empty((n_rows, mat.shape[1]))
+    for j, col in enumerate(mat.T):
+        out[:, j] = np.bincount(rows, vals * col[cols], n_rows)
     return out
+
+
+def _endpoint_weights(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(1 - t, t) and ((1 - t)^2, t (1 - t), t^2) for each theta t, on a last axis."""
+    t = np.asarray(thetas, dtype=float)[..., None]
+    s = 1.0 - t
+    return np.concatenate([s, t], axis=-1), np.concatenate([s * s, t * s, t * t], axis=-1)
 
 
 class AgpSolver:
     """Per-theta variational solutions for a fixed model and ansatz.
 
-    H0(theta) is affine in theta, so C_a(theta) = K0_a + theta * K1_a with
-    constant string content: K0_a = i[O_a, H0(0)] and K1_a = i[O_a, dH0/dtheta]
-    have real coefficients b0[a, c] and b1[a, c] over the patterns c that
-    occur, and Re Tr[O_c O_c'] = 2^N delta_cc'.  So the gram matrix is the
-    quadratic matrix polynomial P0 + theta P1 + theta^2 P2 with
-    P(theta) = 2^N (b0 + theta b1)(b0 + theta b1)^T, and the target is
-    w0 + theta w1 with w_k = -2^N b_k d for the coefficients d of dH0/dtheta.
-    b0 and b1 are built as sparse tables in one vectorized pass over the
-    strings' bit masks.
+    H0(theta) = (1 - theta) H0(0) + theta H0(1), so
+    C_a(theta) = (1 - theta) K0_a + theta K1_a with K0_a = i[O_a, H0(0)] and
+    K1_a = i[O_a, H0(1)], whose real coefficients b0[a, c] and b1[a, c] over
+    the patterns c that occur are the sparse tables of one vectorized pass
+    over the strings' bit masks.  As Re Tr[O_c O_c'] = 2^N delta_cc', the
+    gram matrix is (1 - theta)^2 P0 + theta (1 - theta) P1 + theta^2 P2 with
+    P0 = 2^N b0 b0^T, P1 = 2^N (b0 b1^T + b1 b0^T), P2 = 2^N b1 b1^T, and the
+    target is (1 - theta) w0 + theta w1 with w_k = -2^N b_k d for the
+    coefficients d of dH0/dtheta.  The weights of this endpoint form are
+    nonnegative on [0, 1]; the terms of the power form cancel, and their
+    rounding moved ill-conditioned solutions several times as far.
 
-    The solver works in reduced coordinates beta, with alpha = q beta for a
-    matrix q of orthonormal columns.  For uniform endpoints q spans the
-    site-permutation orbit sums (13 columns at N = 6, p = 4 in place of 926
-    strings); the m x r products P_k q = 2^N b_i (b_j^T q) and the targets
-    w_k are formed straight from the tables, and no m x m or dense b matrix
-    is held.  Otherwise q = I, beta is alpha, and b0, b1 and the P_k are
-    dense.
+    The solver works in reduced coordinates beta, with alpha = q beta for
+    the q of orthonormal columns that ``orbit_partition`` gives as a slot
+    and a weight per string: the site-permutation orbit sums for uniform
+    endpoints (13 columns at N = 6, p = 4 in place of 926 strings), one
+    string per orbit (q = I) otherwise.  Every solver forms b_k^T q in one
+    bincount, the m x r products P_k q = 2^N b_i (b_j^T q) and the w_k as
+    sparse products, and R_k = q^T P_k q, u_k = q^T w_k as sums over the
+    orbits.  No dense b matrix is held, and no m x m matrix unless r = m,
+    when q^T P_k q is P_k q and each m x m matrix is held once.
 
     One path solves every theta: ``reduced_batch`` takes a vector of theta,
     serves those already in the cache and solves the rest together.  Their
     reduced systems (q^T P q) beta = q^T w are stacked, must pass one
     stacked Cholesky factorization and are then solved by one stacked
     ``np.linalg.solve``; each solution is checked against the full normal
-    equations, g = sum_k theta^k (P_k q) beta - w0 - theta w1, with the
-    residuals of all of them taken as one stacked product with the P_k q.
-    If the stacked factorization fails, each theta goes through the same
-    path on its own.  A single theta whose factorization or check fails
-    falls back to minimum-norm least squares on the full system (counted in
-    ``fallbacks``); for uniform endpoints that is the one place the m x m
-    gram is formed.  ``reduced_coefficients(theta)`` is the one-theta
-    call of the same path.
+    equations, g = P(theta) q beta - w(theta), with the residuals of all of
+    them taken as one stacked product with the P_k q.  If the stacked
+    factorization fails, each theta goes through the same path on its own.
+    A single theta whose factorization or check fails falls back to
+    minimum-norm least squares on the full system (counted in
+    ``fallbacks``), whose m x m gram is the same build with one string per
+    orbit.  ``reduced_coefficients(theta)`` is the one-theta call.
 
     The propagator uses the ``reduced_*`` members only:
     H_CD = theta_dot * sum_B beta_B O_B with O_B = sum_a q_aB O_a, and
@@ -168,55 +172,61 @@ class AgpSolver:
         self._stack = None
 
         n = params.n_sites
-        m = basis.size
-        self._scale = scale = 2.0 ** n
+        self._scale = 2.0 ** n
         self._masks = x, z = pauli_masks(basis.strings, n)
         dh0 = dh0_dtheta(params)
-        tables = [i_commutator_table(x, z, h) for h in (h0_at(params, 0.0), dh0)]
+        tables = [i_commutator_table(x, z, h0_at(params, t)) for t in (0.0, 1.0)]
 
-        # one column per pattern, in the lexicographic order of the letters,
-        # so the dense disordered grams sum in the per-string build's order
-        d_codes = pattern_code(*pauli_masks(dh0.terms, n), n)
+        # one column per pattern that occurs, keyed as the tables key them;
         # sorted in Python: np.unique imports numpy.ma, and it and np.sort
         # add up to 0.7 MB of peak RSS to a small run
+        dx, dz = pauli_masks(dh0.terms, n)
+        d_codes = (dx << n) | dz
         all_codes = np.concatenate([t[1] for t in tables] + [d_codes])
         codes = np.array(sorted(set(all_codes.tolist())))
-        n_pat = self._n_patterns = len(codes)
+        self._n_patterns = len(codes)
         self._tables = tuple((rows, np.searchsorted(codes, c), vals) for rows, c, vals in tables)
-        d = np.zeros(n_pat)
-        d[np.searchsorted(codes, d_codes)] = [c.real for c in dh0.terms.values()]
+        d = np.zeros((len(codes), 1))
+        d[np.searchsorted(codes, d_codes), 0] = [c.real for c in dh0.terms.values()]
 
-        if params.is_uniform():
-            self._q = q = _orbit_projector(basis)
+        self._slots, self._weights = orbit_partition(params, basis)
+        self._n_orbits = int(self._slots.max()) + 1
+        self._pq_stack = self._products(self._slots, self._weights, self._n_orbits)
+        self._w = np.stack([-self._scale * _sparse_matmul(*t, basis.size, d)[:, 0]
+                            for t in self._tables])
+        self._r = self._orbit_sums(self._pq_stack)
+        self._u = self._orbit_sums(self._w[..., None])[..., 0]
 
-            def b(k, mat):
-                rows, cols, vals = self._tables[k]
-                return _sparse_matmul(rows, cols, vals, m, mat)
+    def _products(self, slots, weights, n_orbits: int) -> np.ndarray:
+        """P_k q, shape (3, m, r), for the q of a partition, from b_k^T q in one bincount."""
+        m, n_pat = self.basis.size, self._n_patterns
+        b0q, b1q = (np.bincount(cols * n_orbits + slots[rows], vals * weights[rows],
+                                n_pat * n_orbits).reshape(n_pat, n_orbits)
+                    for rows, cols, vals in self._tables)
 
-            b0q, b1q = (_sparse_matmul(cols, rows, vals, n_pat, q)
-                        for rows, cols, vals in self._tables)
-            self._pq_stack = np.stack([scale * b(0, b0q), scale * (b(0, b1q) + b(1, b0q)),
-                                       scale * b(1, b1q)])
-            self._w0, self._w1 = (-scale * b(k, d[:, None])[:, 0] for k in (0, 1))
-            self._r = tuple(q.T @ self._pq_stack)
-            self._u = (q.T @ self._w0, q.T @ self._w1)
-        else:
-            self._q = None
-            b0, b1 = self._dense_tables()
-            self._pq_stack = _grams(b0, b1, scale)
-            self._r = tuple(self._pq_stack)
-            self._w0 = -scale * (b0 @ d)
-            self._w1 = -scale * (b1 @ d)
-            self._u = (self._w0, self._w1)
+        def b(k, mat):
+            return _sparse_matmul(*self._tables[k], m, mat)
 
-    def _dense_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """b0 and b1 as dense (m, patterns) arrays."""
-        out = []
-        for rows, cols, vals in self._tables:
-            b = np.zeros((self.basis.size, self._n_patterns))
-            b[rows, cols] = vals
-            out.append(b)
-        return out[0], out[1]
+        out = np.empty((3, m, n_orbits))
+        out[0] = b(0, b0q)
+        out[1] = b(0, b1q)
+        out[1] += b(1, b0q)
+        out[2] = b(1, b1q)
+        out *= self._scale
+        return out
+
+    def _orbit_sums(self, mats: np.ndarray) -> np.ndarray:
+        """q^T mat for each (m, k) matrix of a stack: every orbit's weighted sum of its rows.
+
+        With one string per orbit q^T mat is mat, and ``mats`` itself is
+        returned, so a disordered solver holds each m x m matrix once.
+        """
+        m, r = self.basis.size, self._n_orbits
+        if r == m:
+            return mats
+        rows = np.moveaxis(mats, -2, 0)
+        sums = _sparse_matmul(self._slots, np.arange(m), self._weights, r, rows.reshape(m, -1))
+        return np.ascontiguousarray(np.moveaxis(sums.reshape((r,) + rows.shape[1:]), 0, -2))
 
     @property
     def reduced_stack(self) -> np.ndarray:
@@ -224,18 +234,13 @@ class AgpSolver:
 
         Odd-Y strings are i times a real matrix, so O_B = i * reduced_stack[B].
         Built on first use in one scatter of every string's signed
-        permutation, weighted by its entry of q, into the slot of its column.
+        permutation, weighted by its entry of q, into the slot of its orbit.
         """
         if self._stack is None:
             x, z = self._masks
-            m = self.basis.size
-            if self._q is None:
-                slots, weights, n_slots = np.arange(m), np.ones(m), m
-            else:
-                slots = np.nonzero(self._q)[1]
-                weights, n_slots = self._q[np.arange(m), slots], self._q.shape[1]
             self._stack = dense_strings(self.basis.n_sites, x, z,
-                                        weights * string_phases(x, z).imag, slots, n_slots)
+                                        self._weights * string_phases(x, z).imag,
+                                        self._slots, self._n_orbits)
         return self._stack
 
     def _normal_residual(self, thetas, betas) -> np.ndarray:
@@ -244,29 +249,29 @@ class AgpSolver:
         ``betas`` has the shape of ``thetas`` plus a last axis of r; the
         products of all of them with the P_k q are one stacked matrix product.
         """
-        t = np.asarray(thetas, dtype=float)[..., None]
-        g0, g1, g2 = betas @ self._pq_stack.transpose(0, 2, 1)
-        g = g0 + t * (g1 + t * g2) - self._w0 - t * self._w1
+        linear, quadratic = _endpoint_weights(thetas)
+        pq_beta = betas @ self._pq_stack.transpose(0, 2, 1)
+        g = np.einsum("...k,k...m->...m", quadratic, pq_beta) - linear @ self._w
         return np.sqrt(np.vecdot(g, g))
 
     def _target_norm(self, thetas) -> np.ndarray:
-        w = self._w0 + np.asarray(thetas, dtype=float)[..., None] * self._w1
+        w = _endpoint_weights(thetas)[0] @ self._w
         return np.sqrt(np.vecdot(w, w))
 
     def _least_squares(self, theta: float) -> np.ndarray:
         """Reduced minimum-norm least-squares solution of the full system at theta."""
-        p0, p1, p2 = self._r if self._q is None else _grams(*self._dense_tables(), self._scale)
-        gram = p0 + theta * p1 + (theta * theta) * p2
-        v = self._w0 + theta * self._w1
-        alpha = np.linalg.lstsq(gram, v, rcond=LSTSQ_RCOND)[0]
-        return alpha if self._q is None else self._q.T @ alpha
+        m = self.basis.size
+        linear, quadratic = _endpoint_weights(theta)
+        gram = quadratic @ self._products(np.arange(m), np.ones(m), m).reshape(3, -1)
+        alpha = np.linalg.lstsq(gram.reshape(m, m), linear @ self._w, rcond=LSTSQ_RCOND)[0]
+        return self._orbit_sums(alpha[:, None])[:, 0]
 
     def _solve(self, thetas: np.ndarray) -> None:
         """Solve the stacked reduced systems of distinct uncached thetas and cache each beta."""
-        r0, r1, r2 = self._r
-        t = thetas[:, None, None]
-        gram = r0 + t * (r1 + t * r2)
-        u = self._u[0] + thetas[:, None] * self._u[1]
+        r = self._n_orbits
+        linear, quadratic = _endpoint_weights(thetas)
+        gram = (quadratic @ self._r.reshape(3, -1)).reshape(-1, r, r)
+        u = linear @ self._u
         try:
             # positive-definiteness gate; numpy has no triangular solve that
             # could reuse the factors, so the solve factors again
@@ -285,11 +290,9 @@ class AgpSolver:
             for k in np.flatnonzero(~ok):
                 beta[k] = self._least_squares(thetas[k])
                 self.fallbacks += 1
-        # one array per entry, so no entry holds the chunk's arrays alive
-        for theta, row in zip(thetas.tolist(), beta):
-            row = row.copy()
-            row.setflags(write=False)
-            self._cache[theta] = row
+        # every row becomes an entry, so the entries share the solved array
+        beta.setflags(write=False)
+        self._cache.update(zip(thetas.tolist(), beta))
 
     def _cached(self, thetas) -> list[np.ndarray]:
         """The cached beta of each theta, after solving the missing ones in one batch."""
@@ -314,5 +317,4 @@ class AgpSolver:
 
     def coefficients(self, theta: float) -> np.ndarray:
         """Full-basis solution alpha(theta) = q beta(theta)."""
-        beta = self.reduced_coefficients(theta)
-        return beta if self._q is None else self._q @ beta
+        return self._weights * self.reduced_coefficients(theta)[self._slots]

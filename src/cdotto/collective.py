@@ -39,7 +39,7 @@ def _lower(cols: np.ndarray, n: int) -> np.ndarray:
 def _highest_weights(n: int, k: int) -> np.ndarray:
     """Orthonormal columns spanning ker S+ among the states with k down spins."""
     dim = 2 ** n
-    popcount = np.array([bin(s).count("1") for s in range(dim)])
+    popcount = np.bitwise_count(np.arange(dim))
     sector = np.flatnonzero(popcount == k)
     above = {s: row for row, s in enumerate(np.flatnonzero(popcount == k - 1))}
     # S+ from sector k to sector k - 1 flips one down spin up

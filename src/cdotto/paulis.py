@@ -11,8 +11,9 @@ Gottesman, PRA 70, 052328 (2004)): a pattern is i^{#Y} X^x Z^z for bit
 masks x (set by X and Y) and z (set by Z and Y), with site 0 the leading
 bit as in the Kronecker order, and #Y = popcount(x & z) since Y = i X Z.
 ``i_commutator_table`` forms i[O_a, H] for a whole list of strings in one
-vectorized pass, and ``dense_strings`` realizes weighted string sums by
-scattering each string's signed permutation,
+vectorized pass, each output string keyed by the integer (x << N) | z, and
+``dense_strings`` realizes weighted string sums by scattering each string's
+signed permutation,
 X^x Z^z |j> = (-1)^{popcount(j & z)} |j XOR x>.
 
 All values are immutable after construction and every operation is a
@@ -161,9 +162,6 @@ def commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     return OperatorSum(a.n_sites, out)
 
 
-# letter rank (I, X, Y, Z = 0..3) indexed by x_bit + 2 * z_bit
-_RANK = np.array([0, 1, 3, 2])
-
 # i^k for k = 0..3, exact
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
@@ -182,17 +180,6 @@ def pauli_masks(patterns, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
-def pattern_code(x: np.ndarray, z: np.ndarray, n_sites: int) -> np.ndarray:
-    """Base-4 code of each (x, z) string, letter ranks I < X < Y < Z, site 0 leading.
-
-    Codes sort in the lexicographic order of the letter patterns.
-    """
-    code = np.zeros_like(x)
-    for bit in range(n_sites):
-        code |= _RANK[((x >> bit) & 1) + 2 * ((z >> bit) & 1)] << (2 * bit)
-    return code
-
-
 def string_phases(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """i^{#Y} of each string, so that the pattern is i^{#Y} X^x Z^z."""
     return _I_POWERS[_popcount(x & z) % 4]
@@ -201,10 +188,10 @@ def string_phases(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 def i_commutator_table(x: np.ndarray, z: np.ndarray, h: OperatorSum):
     """Every nonzero term of i[O_a, H] for the unit strings O_a = (x[a], z[a]).
 
-    ``h`` must be Hermitian (real coefficients).  Returns ``(rows, codes,
+    ``h`` must be Hermitian (real coefficients).  Returns ``(rows, keys,
     values)`` ordered by row: i[O_a, H] is the sum of values * (the string
-    with that ``pattern_code``) over the entries with rows == a.  O_a and a
-    term O_t of H anticommute when popcount(x_a & z_t) + popcount(z_a & x_t)
+    (x, z) with key (x << N) | z) over the entries with rows == a.  O_a and
+    a term O_t of H anticommute when popcount(x_a & z_t) + popcount(z_a & x_t)
     is odd, and then, with c = a XOR t and y = popcount(x & z),
 
         i[O_a, O_t] = 2i O_a O_t = 2 i^{1 + y_a + y_t - y_c} (-1)^{popcount(z_a & x_t)} O_c,
@@ -221,7 +208,7 @@ def i_commutator_table(x: np.ndarray, z: np.ndarray, h: OperatorSum):
     power = (1 + _popcount(xa & za) + _popcount(xt & zt) - _popcount(xc & zc)
              + 2 * _popcount(za & xt))
     values = 2.0 * coeffs[t] * (1 - power % 4)
-    return rows, pattern_code(xc, zc, h.n_sites), values
+    return rows, (xc << h.n_sites) | zc, values
 
 
 def dense_strings(n_sites: int, x: np.ndarray, z: np.ndarray, weights: np.ndarray,

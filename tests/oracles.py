@@ -6,7 +6,7 @@ spectral gauge potential) is dense too.  ``solve_agp`` is the direct
 variational solve, one least-squares system per theta; it builds that
 system with the package's own Pauli algebra (and ``hs_inner``) and serves
 as the slow, plain reference for ``cdotto.agp.AgpSolver``.
-``string_build`` forms the solver's theta-polynomial system the plain way,
+``string_build`` forms the solver's endpoint-form system the plain way,
 one symbolic commutator per string and m x m matrices, the reference for
 the solver's bit-mask build.  ``dense_stroke`` propagates a stroke with
 dense matrices, its own sweep profile and exponentials from scipy's
@@ -153,7 +153,11 @@ def solve_agp(basis, h0, dh0):
 
 
 class StringBuild(NamedTuple):
-    """The solver's system gram(theta) = P0 + theta P1 + theta^2 P2, v(theta) = w0 + theta w1."""
+    """The solver's system in endpoint form.
+
+    gram(theta) = (1 - theta)^2 P0 + theta (1 - theta) P1 + theta^2 P2 and
+    v(theta) = (1 - theta) w0 + theta w1.
+    """
 
     p: tuple
     w: tuple
@@ -162,15 +166,16 @@ class StringBuild(NamedTuple):
 def string_build(params, basis):
     """P_k (m x m) and w_k from one symbolic commutator per string and Hamiltonian.
 
-    C_a(theta) = i[O_a, H0(0)] + theta i[O_a, dH0/dtheta] has real
-    coefficients b0[a, c] + theta b1[a, c] over the patterns c that occur,
-    and Re Tr[O_c O_c'] = 2^N delta_cc', so gram = 2^N (b0 + theta b1)(...)^T
-    and v = -2^N (b0 + theta b1) d for the coefficients d of dH0/dtheta.
+    C_a(theta) = (1 - theta) i[O_a, H0(0)] + theta i[O_a, H0(1)] has real
+    coefficients (1 - theta) b0[a, c] + theta b1[a, c] over the patterns c
+    that occur, and Re Tr[O_c O_c'] = 2^N delta_cc', so
+    gram = 2^N ((1 - theta) b0 + theta b1)(...)^T and
+    v = -2^N ((1 - theta) b0 + theta b1) d for the coefficients d of dH0/dtheta.
     """
     n = basis.n_sites
     dh0 = dh0_dtheta(params)
     ops = [[1.0j * commutator(OperatorSum(n, {pat: 1.0}), h) for pat in basis.strings]
-           for h in (h0_at(params, 0.0), dh0)]
+           for h in (h0_at(params, 0.0), h0_at(params, 1.0))]
     patterns = sorted(set().union(*(op.terms for row in ops for op in row), dh0.terms))
     col = {pat: i for i, pat in enumerate(patterns)}
     b0, b1 = np.zeros((2, basis.size, len(patterns)))

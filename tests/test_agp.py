@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cdotto.agp import RESIDUAL_RTOL, AgpSolver, build_basis
+from cdotto.agp import RESIDUAL_RTOL, AgpSolver, build_basis, orbit_partition
 from cdotto.errors import DomainError
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
 from cdotto import paulis
@@ -236,6 +236,50 @@ def endpoint_params(kind, n):
     return EndpointParams.uniform(n) if kind == "uniform" else disordered_params(n)
 
 
+def dense_q(slots, weights):
+    """The (m, r) matrix q of a partition: q[a, slots[a]] = weights[a], zero elsewhere."""
+    q = np.zeros((len(slots), slots.max() + 1))
+    q[np.arange(len(slots)), slots] = weights
+    return q
+
+
+class TestOrbitPartition:
+    @pytest.mark.parametrize("params", [
+        EndpointParams.uniform(6),
+        # equal per-site lists count as uniform
+        EndpointParams(h_i=[0.2] * 6, b_i=[0.0] * 6, j_i=[0.0] * 15,
+                       h_f=[0.0] * 6, b_f=[0.5] * 6, j_f=[0.1] * 15),
+    ], ids=["uniform", "equal-lists"])
+    def test_uniform_orbits_share_a_letter_multiset(self, params):
+        basis = build_basis(6, 4)
+        slots, weights = orbit_partition(params, basis)
+        q = dense_q(slots, weights)
+        assert q.shape == (926, 13)
+        np.testing.assert_allclose(q.T @ q, np.eye(13), rtol=0, atol=1e-14)
+        for b in range(13):
+            members = [basis.strings[a] for a in np.flatnonzero(slots == b)]
+            assert len({tuple(sorted(pat)) for pat in members}) == 1
+        # and distinct orbits hold distinct multisets
+        assert len({tuple(sorted(pat)) for pat in basis.strings}) == 13
+
+    def test_disordered_strings_are_their_own_orbits(self):
+        basis = build_basis(5, 3)
+        slots, weights = orbit_partition(disordered_params(5), basis)
+        np.testing.assert_array_equal(slots, np.arange(basis.size))
+        np.testing.assert_array_equal(weights, 1.0)
+
+    def test_disordered_solver_holds_each_system_once(self):
+        solver = AgpSolver(disordered_params(4), build_basis(4, 3))
+        m = solver.basis.size
+        assert solver._r.shape == solver._pq_stack.shape == (3, m, m)
+        assert np.shares_memory(solver._r, solver._pq_stack)
+        assert np.shares_memory(solver._u, solver._w)
+        # uniform endpoints reduce to separate r x r systems
+        uniform = AgpSolver(EndpointParams.uniform(4), build_basis(4, 3))
+        assert uniform._r.shape == (3, 7, 7)
+        assert not np.shares_memory(uniform._r, uniform._pq_stack)
+
+
 class TestMaskBuild:
     """The bit-mask build against the per-string symbolic one (``oracles.string_build``)."""
 
@@ -245,7 +289,7 @@ class TestMaskBuild:
         basis = build_basis(n, min(n, 4))
         solver = AgpSolver(params, basis)
         ref = oracles.string_build(params, basis)
-        q = solver._q if kind == "uniform" else np.eye(basis.size)
+        q = dense_q(solver._slots, solver._weights)
         pq = [p @ q for p in ref.p]
         # relative to the size of each family, since some targets vanish
         # analytically and carry only roundoff in the reference
@@ -255,7 +299,7 @@ class TestMaskBuild:
             assert np.abs(got - want).max() <= 1e-12 * p_scale
         for got, want in zip(solver._r, pq):
             assert np.abs(got - q.T @ want).max() <= 1e-12 * p_scale
-        for got, want in zip((solver._w0, solver._w1), ref.w):
+        for got, want in zip(solver._w, ref.w):
             assert np.abs(got - want).max() <= 1e-12 * w_scale
         for got, want in zip(solver._u, ref.w):
             assert np.abs(got - q.T @ want).max() <= 1e-12 * w_scale
@@ -264,7 +308,7 @@ class TestMaskBuild:
     def test_stack_equals_dense_pattern_sums(self, kind, n):
         basis = build_basis(n, min(n, 4))
         solver = AgpSolver(endpoint_params(kind, n), basis)
-        q = solver._q if kind == "uniform" else np.eye(basis.size)
+        q = dense_q(solver._slots, solver._weights)
         dim = 2 ** n
         want = np.zeros((q.shape[1], dim, dim))
         for a, b in zip(*np.nonzero(q)):

@@ -9,8 +9,7 @@ import oracles
 from cdotto.agp import build_basis
 from cdotto.errors import CapacityError, DimensionError
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
-from cdotto.paulis import (OperatorSum, commutator, i_commutator_table, pattern_code,
-                           pauli_masks, to_dense)
+from cdotto.paulis import OperatorSum, commutator, i_commutator_table, pauli_masks, to_dense
 from oracles import hs_inner
 
 from test_model import disordered_params
@@ -121,8 +120,10 @@ class TestCommutator:
 
 
 def code_letters(code, n):
-    """Letter pattern of a ``pattern_code``: base-4 digits I, X, Y, Z, site 0 leading."""
-    return tuple("IXYZ"[(int(code) >> (2 * (n - 1 - site))) & 3] for site in range(n))
+    """Letter pattern of the key (x << n) | z of a string; site 0 is the leading bit."""
+    x, z = int(code) >> n, int(code) & ((1 << n) - 1)
+    return tuple("IXZY"[((x >> (n - 1 - site)) & 1) + 2 * ((z >> (n - 1 - site)) & 1)]
+                 for site in range(n))
 
 
 class TestMaskKernel:
@@ -130,10 +131,8 @@ class TestMaskKernel:
         x, z = pauli_masks([("I", "X"), ("Y", "Z"), ("Z", "Y")], 2)
         np.testing.assert_array_equal(x, [0b01, 0b10, 0b01])
         np.testing.assert_array_equal(z, [0b00, 0b11, 0b11])
-        codes = pattern_code(x, z, 2)
-        assert [code_letters(c, 2) for c in codes] == [("I", "X"), ("Y", "Z"), ("Z", "Y")]
-        # codes sort like the letter patterns
-        assert list(codes) == sorted(codes)
+        assert [code_letters((a << 2) | b, 2) for a, b in zip(x, z)] == [
+            ("I", "X"), ("Y", "Z"), ("Z", "Y")]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_commutator_table_matches_symbolic_commutator(self, n):
