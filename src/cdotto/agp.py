@@ -13,9 +13,10 @@ stationarity condition is the linear system
 
 with C_a = i [O_a, H0(theta)] (Sels & Polkovnikov, PNAS 114, E3909 (2017)).
 ``AgpSolver`` precomputes the theta-dependence (H0 is affine in theta, so
-gram and v are polynomial in theta) and solves a whole vector of theta at
-once, one chunk of a stroke grid per call, caching each solution by its
-theta.  The commutators of all strings come from one vectorized pass over
+gram is quadratic in theta and v constant: [H0(theta), dH0/dtheta] is
+[H0(0), dH0/dtheta]) and solves a whole vector of theta at once, one
+chunk of a stroke grid per call, caching each solution by its theta.
+The commutators of all strings come from one vectorized pass over
 their binary (x, z) masks (``cdotto.paulis.i_commutator_table``), as a
 sparse table of string, pattern and coefficient.  The solver works in
 reduced coordinates beta with alpha = q beta, q given by a partition of
@@ -43,7 +44,7 @@ from .paulis import dense_strings, i_commutator_table, pauli_masks, string_phase
 LSTSQ_RCOND = 1e-12
 
 #: a reduced solution is kept when the full normal-equation residual is at
-#: most this times (1 + ||w(theta)||)
+#: most this times (1 + ||w||)
 RESIDUAL_RTOL = 1e-8
 
 
@@ -109,11 +110,11 @@ def _sparse_matmul(rows, cols, vals, n_rows: int, mat: np.ndarray) -> np.ndarray
     return out
 
 
-def _endpoint_weights(thetas) -> tuple[np.ndarray, np.ndarray]:
-    """(1 - t, t) and ((1 - t)^2, t (1 - t), t^2) for each theta t, on a last axis."""
+def _endpoint_weights(thetas) -> np.ndarray:
+    """((1 - t)^2, t (1 - t), t^2) for each theta t, on a last axis."""
     t = np.asarray(thetas, dtype=float)[..., None]
     s = 1.0 - t
-    return np.concatenate([s, t], axis=-1), np.concatenate([s * s, t * s, t * t], axis=-1)
+    return np.concatenate([s * s, t * s, t * t], axis=-1)
 
 
 class AgpSolver:
@@ -125,28 +126,30 @@ class AgpSolver:
     the patterns c that occur are the sparse tables of one vectorized pass
     over the strings' bit masks.  As Re Tr[O_c O_c'] = 2^N delta_cc', the
     gram matrix is (1 - theta)^2 P0 + theta (1 - theta) P1 + theta^2 P2 with
-    P0 = 2^N b0 b0^T, P1 = 2^N (b0 b1^T + b1 b0^T), P2 = 2^N b1 b1^T, and the
-    target is (1 - theta) w0 + theta w1 with w_k = -2^N b_k d for the
-    coefficients d of dH0/dtheta.  The weights of this endpoint form are
-    nonnegative on [0, 1]; the terms of the power form cancel, and their
-    rounding moved ill-conditioned solutions several times as far.
+    P0 = 2^N b0 b0^T, P1 = 2^N (b0 b1^T + b1 b0^T), P2 = 2^N b1 b1^T.  The
+    weights of this endpoint form are nonnegative on [0, 1]; the terms of
+    the power form cancel, and their rounding moved ill-conditioned
+    solutions several times as far.  The target w = -2^N b0 d, for the
+    coefficients d of dH0/dtheta, is one vector (b1 d = b0 d, as
+    H0(theta) - H0(0) commutes with dH0/dtheta), so the tolerance
+    ``RESIDUAL_RTOL`` (1 + ||w||) of the residual check is fixed at build.
 
     The solver works in reduced coordinates beta, with alpha = q beta for
     the q of orthonormal columns that ``orbit_partition`` gives as a slot
     and a weight per string: the site-permutation orbit sums for uniform
     endpoints (13 columns at N = 6, p = 4 in place of 926 strings), one
     string per orbit (q = I) otherwise.  Every solver forms b_k^T q in one
-    bincount, the m x r products P_k q = 2^N b_i (b_j^T q) and the w_k as
-    sparse products, and R_k = q^T P_k q, u_k = q^T w_k as sums over the
-    orbits.  No dense b matrix is held, and no m x m matrix unless r = m,
-    when q^T P_k q is P_k q and each m x m matrix is held once.
+    bincount, the m x r products P_k q = 2^N b_i (b_j^T q) and w as sparse
+    products, and R_k = q^T P_k q, u = q^T w as sums over the orbits.  No
+    dense b matrix is held, and no m x m matrix unless r = m, when
+    q^T P_k q is P_k q, u is w, and each is held once.
 
     One path solves every theta: ``reduced_batch`` takes a vector of theta,
     serves those already in the cache and solves the rest together.  Their
     reduced systems (q^T P q) beta = q^T w are stacked, must pass one
     stacked Cholesky factorization and are then solved by one stacked
     ``np.linalg.solve``; each solution is checked against the full normal
-    equations, g = P(theta) q beta - w(theta), with the residuals of all of
+    equations, g = P(theta) q beta - w, with the residuals of all of
     them taken as one stacked product with the P_k q.  If the stacked
     factorization fails, each theta goes through the same path on its own.
     A single theta whose factorization or check fails falls back to
@@ -192,10 +195,11 @@ class AgpSolver:
         self._slots, self._weights = orbit_partition(params, basis)
         self._n_orbits = int(self._slots.max()) + 1
         self._pq_stack = self._products(self._slots, self._weights, self._n_orbits)
-        self._w = np.stack([-self._scale * _sparse_matmul(*t, basis.size, d)[:, 0]
-                            for t in self._tables])
+        # v_a = -Re Tr[dH0 C_a(theta)] and [H0(theta), dH0] = [H0(0), dH0]: one target
+        self._w = -self._scale * _sparse_matmul(*self._tables[0], basis.size, d)[:, 0]
+        self._tol = RESIDUAL_RTOL * (1.0 + np.linalg.norm(self._w))
         self._r = self._orbit_sums(self._pq_stack)
-        self._u = self._orbit_sums(self._w[..., None])[..., 0]
+        self._u = self._orbit_sums(self._w[:, None])[:, 0]
 
     def _products(self, slots, weights, n_orbits: int) -> np.ndarray:
         """P_k q, shape (3, m, r), for the q of a partition, from b_k^T q in one bincount."""
@@ -244,48 +248,40 @@ class AgpSolver:
         return self._stack
 
     def _normal_residual(self, thetas, betas) -> np.ndarray:
-        """Norms of the full normal-equation residuals P(theta) q beta - w(theta).
+        """Norms of the full normal-equation residuals P(theta) q beta - w.
 
         ``betas`` has the shape of ``thetas`` plus a last axis of r; the
         products of all of them with the P_k q are one stacked matrix product.
         """
-        linear, quadratic = _endpoint_weights(thetas)
         pq_beta = betas @ self._pq_stack.transpose(0, 2, 1)
-        g = np.einsum("...k,k...m->...m", quadratic, pq_beta) - linear @ self._w
+        g = np.einsum("...k,k...m->...m", _endpoint_weights(thetas), pq_beta) - self._w
         return np.sqrt(np.vecdot(g, g))
-
-    def _target_norm(self, thetas) -> np.ndarray:
-        w = _endpoint_weights(thetas)[0] @ self._w
-        return np.sqrt(np.vecdot(w, w))
 
     def _least_squares(self, theta: float) -> np.ndarray:
         """Reduced minimum-norm least-squares solution of the full system at theta."""
         m = self.basis.size
-        linear, quadratic = _endpoint_weights(theta)
-        gram = quadratic @ self._products(np.arange(m), np.ones(m), m).reshape(3, -1)
-        alpha = np.linalg.lstsq(gram.reshape(m, m), linear @ self._w, rcond=LSTSQ_RCOND)[0]
+        p_stack = self._products(np.arange(m), np.ones(m), m).reshape(3, -1)
+        gram = (_endpoint_weights(theta) @ p_stack).reshape(m, m)
+        alpha = np.linalg.lstsq(gram, self._w, rcond=LSTSQ_RCOND)[0]
         return self._orbit_sums(alpha[:, None])[:, 0]
 
     def _solve(self, thetas: np.ndarray) -> None:
         """Solve the stacked reduced systems of distinct uncached thetas and cache each beta."""
         r = self._n_orbits
-        linear, quadratic = _endpoint_weights(thetas)
-        gram = (quadratic @ self._r.reshape(3, -1)).reshape(-1, r, r)
-        u = linear @ self._u
+        gram = (_endpoint_weights(thetas) @ self._r.reshape(3, -1)).reshape(-1, r, r)
         try:
             # positive-definiteness gate; numpy has no triangular solve that
             # could reuse the factors, so the solve factors again
             np.linalg.cholesky(gram)
-            beta = np.linalg.solve(gram, u[..., None])[..., 0]
+            beta = np.linalg.solve(gram, self._u)
         except np.linalg.LinAlgError:
             if len(thetas) > 1:
                 for k in range(len(thetas)):
                     self._solve(thetas[k:k + 1])
                 return
-            beta = np.full(u.shape, np.nan)
-        tol = RESIDUAL_RTOL * (1.0 + self._target_norm(thetas))
+            beta = np.full((1, r), np.nan)
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite beta fails anyway
-            ok = np.isfinite(beta).all(axis=1) & (self._normal_residual(thetas, beta) <= tol)
+            ok = np.isfinite(beta).all(axis=1) & (self._normal_residual(thetas, beta) <= self._tol)
         if not ok.all():
             for k in np.flatnonzero(~ok):
                 beta[k] = self._least_squares(thetas[k])
@@ -313,7 +309,7 @@ class AgpSolver:
     @property
     def cache_size(self) -> tuple[int, int]:
         """Entries and bytes of the per-theta cache (every entry holds r floats)."""
-        return len(self._cache), len(self._cache) * self._u[0].nbytes
+        return len(self._cache), len(self._cache) * self._u.nbytes
 
     def coefficients(self, theta: float) -> np.ndarray:
         """Full-basis solution alpha(theta) = q beta(theta)."""

@@ -33,7 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 from . import __version__  # noqa: E402
 from .config import PRESETS, config_digest, parse_config_text, resolve_blocks  # noqa: E402
-from .cycle import CycleReport, RunOptions, default_workers, sweep  # noqa: E402
+from .cycle import CONVERGE_TOL, CycleReport, RunOptions, default_workers, sweep  # noqa: E402
 from .errors import ConfigError  # noqa: E402
 
 CSV_COLUMNS = (
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
         "min_steps": options.min_steps,
         "max_steps": options.max_steps,
         "converge": options.converge,
-        "converge_tol": options.converge_tol,
+        "converge_tol": CONVERGE_TOL,
     }
     digest = config_digest(blocks, options_echo)
     workers = args.workers or default_workers()

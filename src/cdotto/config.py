@@ -34,7 +34,6 @@ from .cycle import CycleConfig
 from .errors import ConfigError, DomainError
 from .model import EndpointParams
 
-GRID_KEYS = ("N", "p", "tau")
 SCALAR_KEYS = ("tau1", "tau3", "tau2", "tau4", "Tc", "Th", "nu")
 FIELD_KEYS = ("h_i", "b_i", "J_i", "h_f", "b_f", "J_f")
 

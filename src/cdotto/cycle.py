@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agp import AgpSolver, build_basis
-from .dynamics import LAYERS, gibbs_state, propagate_stroke
+from .dynamics import LAYERS, boltzmann_weights, gibbs_state, propagate_stroke
 from .errors import DomainError
 from .model import EndpointParams, SweepSpec, h0_at
 from .paulis import to_dense
@@ -70,6 +70,11 @@ class CycleConfig:
         return min(self.p, self.n_sites)
 
 
+#: the step-doubling stop rule of ``RunOptions.converge``
+CONVERGE_TOL = 1e-7
+MAX_DOUBLINGS = 3
+
+
 @dataclass(frozen=True)
 class RunOptions:
     """Numerical knobs for cycle runs.
@@ -77,7 +82,7 @@ class RunOptions:
     The step count per stroke is ``steps_per_unit_time * tau`` clipped to
     ``[min_steps, max_steps]``.  With ``converge=True`` the cycle is rerun
     with doubled steps until the pumped heat changes by at most
-    ``converge_tol`` (up to ``max_doublings`` times); the finest run is
+    ``CONVERGE_TOL`` (up to ``MAX_DOUBLINGS`` times); the finest run is
     reported together with an honest ``converged`` flag.
     """
 
@@ -85,8 +90,6 @@ class RunOptions:
     min_steps: int = 1000
     max_steps: int = 20000
     converge: bool = True
-    converge_tol: float = 1e-7
-    max_doublings: int = 3
 
     def stroke_steps(self, tau: float) -> int:
         raw = math.ceil(self.steps_per_unit_time * tau)
@@ -138,11 +141,6 @@ class AdiabaticReference:
     energies: tuple[float, float, float, float]
 
 
-def _boltzmann(energies: np.ndarray, temperature: float) -> np.ndarray:
-    w = np.exp(-(energies - energies.min()) / temperature)
-    return w / w.sum()
-
-
 def adiabatic_reference(cfg: CycleConfig) -> AdiabaticReference:
     """Cycle metrics in the adiabatic limit.
 
@@ -153,8 +151,8 @@ def adiabatic_reference(cfg: CycleConfig) -> AdiabaticReference:
     """
     e_cold = np.linalg.eigvalsh(to_dense(h0_at(cfg.params, 0.0)))
     e_hot = np.linalg.eigvalsh(to_dense(h0_at(cfg.params, 1.0)))
-    p_a = _boltzmann(e_cold, cfg.Tc)
-    p_c = _boltzmann(e_hot, cfg.Th)
+    p_a = boltzmann_weights(e_cold, cfg.Tc)
+    p_c = boltzmann_weights(e_hot, cfg.Th)
     e_a = float(p_a @ e_cold)
     e_b = float(p_a @ e_hot)
     e_c = float(p_c @ e_hot)
@@ -219,13 +217,13 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     converged: bool | None = None
     if opt.converge:
         converged = False
-        for _ in range(opt.max_doublings):
+        for _ in range(MAX_DOUBLINGS):
             steps1 *= 2
             steps3 *= 2
             s1, s3 = once(steps1, steps3)
             pass_qc.append(s1.e_start - s3.e_end)
             pass_steps.append(steps1 + steps3)
-            if abs(pass_qc[-1] - pass_qc[-2]) <= opt.converge_tol:
+            if abs(pass_qc[-1] - pass_qc[-2]) <= CONVERGE_TOL:
                 converged = True
                 break
 

@@ -123,17 +123,22 @@ class DensityMatrix:
         return float(np.vdot(self.matrix, self.matrix).real)
 
 
+def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
+    """Populations exp(-E/T)/Z, with the exponents shifted by the lowest energy."""
+    weights = np.exp(-(energies - energies.min()) / temperature)
+    return weights / weights.sum()
+
+
 def gibbs_state(h: OperatorSum, temperature: float) -> DensityMatrix:
     """Thermal state exp(-H/T)/Z via eigendecomposition.
 
-    Exponents are shifted by the ground energy to avoid overflow; the result
-    commutes with H by construction.
+    The populations are ``boltzmann_weights`` of the spectrum, shifted to
+    avoid overflow; the result commutes with H by construction.
     """
     if temperature <= 0:
         raise DomainError("temperature must be positive")
     energies, vecs = np.linalg.eigh(to_dense(h))
-    weights = np.exp(-(energies - energies.min()) / temperature)
-    weights /= weights.sum()
+    weights = boltzmann_weights(energies, temperature)
     rho = (vecs * weights) @ vecs.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(h.n_sites, rho)

@@ -156,7 +156,8 @@ class StringBuild(NamedTuple):
     """The solver's system in endpoint form.
 
     gram(theta) = (1 - theta)^2 P0 + theta (1 - theta) P1 + theta^2 P2 and
-    v(theta) = (1 - theta) w0 + theta w1.
+    v(theta) = (1 - theta) w0 + theta w1.  Each w_k is built from its own
+    endpoint, so a check that w0 = w1 tests that v does not depend on theta.
     """
 
     p: tuple

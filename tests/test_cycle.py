@@ -103,8 +103,7 @@ class TestRunCycle:
         assert rep.cost1 == pytest.approx(rep.cost3, rel=1e-12)
 
     def test_convergence_doubling(self):
-        opts = RunOptions(steps_per_unit_time=500, min_steps=200,
-                          converge=True, converge_tol=1e-7, max_doublings=3)
+        opts = RunOptions(steps_per_unit_time=500, min_steps=200, converge=True)
         rep = run_cycle(uniform_cfg(1, 1), opts)
         assert rep.converged is True
         assert rep.steps >= 2000  # at least one doubling from 500 + 500
