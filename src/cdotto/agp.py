@@ -15,7 +15,7 @@ with C_a = i [O_a, H0(theta)] (Sels & Polkovnikov, PNAS 114, E3909 (2017)).
 ``AgpSolver`` precomputes the theta-dependence (H0 is affine in theta, so
 gram is quadratic in theta and v constant: [H0(theta), dH0/dtheta] is
 [H0(0), dH0/dtheta]) and solves a whole vector of theta at once, one
-chunk of a stroke grid per call, caching each solution by its theta.
+chunk of a stroke grid per call, and keeps none of the solutions.
 The commutators of all strings come from one vectorized pass over
 their binary (x, z) masks (``cdotto.paulis.i_commutator_table``), as a
 sparse table of string, pattern and coefficient.  The solver works in
@@ -144,13 +144,12 @@ class AgpSolver:
     dense b matrix is held, and no m x m matrix unless r = m, when
     q^T P_k q is P_k q, u is w, and each is held once.
 
-    One path solves every theta: ``reduced_batch`` takes a vector of theta,
-    serves those already in the cache and solves the rest together.  Their
-    reduced systems (q^T P q) beta = q^T w are stacked, must pass one
-    stacked Cholesky factorization and are then solved by one stacked
-    ``np.linalg.solve``; each solution is checked against the full normal
-    equations, g = P(theta) q beta - w, with the residuals of all of
-    them taken as one stacked product with the P_k q.  If the stacked
+    One path solves every theta: ``reduced_batch`` takes a vector of theta
+    and stacks their reduced systems (q^T P q) beta = q^T w, which must
+    pass one stacked Cholesky factorization and are then solved by one
+    stacked ``np.linalg.solve``; each solution is checked against the full
+    normal equations, g = P(theta) q beta - w, with the residuals of all
+    of them taken as one stacked product with the P_k q.  If the stacked
     factorization fails, each theta goes through the same path on its own.
     A single theta whose factorization or check fails falls back to
     minimum-norm least squares on the full system (counted in
@@ -159,10 +158,10 @@ class AgpSolver:
 
     The propagator uses the ``reduced_*`` members only:
     H_CD = theta_dot * sum_B beta_B O_B with O_B = sum_a q_aB O_a, and
-    ||alpha|| = ||beta||.  Reduced solutions are cached by exact theta
-    value, so strokes that share a solver share its solutions.  The cache
-    and ``fallbacks`` are updated without a lock: a solver is not meant to
-    be shared between threads (each sweep worker process builds its own).
+    ||alpha|| = ||beta||.  The solver holds no per-theta state; only
+    ``fallbacks`` and the lazily built ``reduced_stack`` change after
+    build, without a lock: a solver is not meant to be shared between
+    threads (each sweep worker process builds its own).
     """
 
     def __init__(self, params: EndpointParams, basis: AnsatzBasis):
@@ -171,7 +170,6 @@ class AgpSolver:
         self.params = params
         self.basis = basis
         self.fallbacks = 0
-        self._cache: dict[float, np.ndarray] = {}
         self._stack = None
 
         n = params.n_sites
@@ -265,8 +263,9 @@ class AgpSolver:
         alpha = np.linalg.lstsq(gram, self._w, rcond=LSTSQ_RCOND)[0]
         return self._orbit_sums(alpha[:, None])[:, 0]
 
-    def _solve(self, thetas: np.ndarray) -> None:
-        """Solve the stacked reduced systems of distinct uncached thetas and cache each beta."""
+    def reduced_batch(self, thetas) -> np.ndarray:
+        """Reduced solutions beta(theta) for a vector of theta, one row each."""
+        thetas = np.asarray(thetas, dtype=float).ravel()
         r = self._n_orbits
         gram = (_endpoint_weights(thetas) @ self._r.reshape(3, -1)).reshape(-1, r, r)
         try:
@@ -276,40 +275,19 @@ class AgpSolver:
             beta = np.linalg.solve(gram, self._u)
         except np.linalg.LinAlgError:
             if len(thetas) > 1:
-                for k in range(len(thetas)):
-                    self._solve(thetas[k:k + 1])
-                return
+                return np.concatenate([self.reduced_batch(thetas[k:k + 1])
+                                       for k in range(len(thetas))])
             beta = np.full((1, r), np.nan)
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite beta fails anyway
             ok = np.isfinite(beta).all(axis=1) & (self._normal_residual(thetas, beta) <= self._tol)
-        if not ok.all():
-            for k in np.flatnonzero(~ok):
-                beta[k] = self._least_squares(thetas[k])
-                self.fallbacks += 1
-        # every row becomes an entry, so the entries share the solved array
-        beta.setflags(write=False)
-        self._cache.update(zip(thetas.tolist(), beta))
-
-    def _cached(self, thetas) -> list[np.ndarray]:
-        """The cached beta of each theta, after solving the missing ones in one batch."""
-        keys = np.asarray(thetas, dtype=float).ravel().tolist()
-        missing = [t for t in dict.fromkeys(keys) if t not in self._cache]
-        if missing:
-            self._solve(np.array(missing))
-        return [self._cache[t] for t in keys]
-
-    def reduced_batch(self, thetas) -> np.ndarray:
-        """Reduced solutions beta(theta) for a vector of theta, one row each."""
-        return np.array(self._cached(thetas))
+        for k in np.flatnonzero(~ok):
+            beta[k] = self._least_squares(thetas[k])
+            self.fallbacks += 1
+        return beta
 
     def reduced_coefficients(self, theta: float) -> np.ndarray:
-        """Reduced solution beta(theta); repeat calls return the same read-only array."""
-        return self._cached([theta])[0]
-
-    @property
-    def cache_size(self) -> tuple[int, int]:
-        """Entries and bytes of the per-theta cache (every entry holds r floats)."""
-        return len(self._cache), len(self._cache) * self._u.nbytes
+        """Reduced solution beta(theta)."""
+        return self.reduced_batch([theta])[0]
 
     def coefficients(self, theta: float) -> np.ndarray:
         """Full-basis solution alpha(theta) = q beta(theta)."""

@@ -181,30 +181,34 @@ def cd_cost(times: np.ndarray, hcd_norm_sq: np.ndarray, nu: float) -> float:
 def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleReport:
     """Propagate one full cycle and assemble every reported metric.
 
-    The report's ``diagnostics`` carry the point's wall time, its split
-    over the stroke layers (``dynamics.LAYERS``, summed over every stroke
-    of every pass), the size of the solver's per-theta cache and, per
-    step-doubling pass, the pumped heat and the steps of both strokes.
+    When both work strokes have one duration and step count, the reverse
+    stroke visits the forward stroke's midpoints in reverse order
+    (``SweepSpec.grid``) and takes the forward solutions reversed.  The
+    report's ``diagnostics`` carry the point's wall time, its split over
+    the stroke layers (``dynamics.LAYERS``, summed over every stroke of
+    every pass) and, per step-doubling pass, the pumped heat and the steps
+    of both strokes.
     """
     t0 = time.perf_counter()
     opt = options or RunOptions()
     n = cfg.n_sites
-    h0_cold = h0_at(cfg.params, 0.0)
-    h0_hot = h0_at(cfg.params, 1.0)
+    # the dense states raise CapacityError above the site cap before the
+    # solver is built
+    ref = adiabatic_reference(cfg)
+    rho_a = gibbs_state(h0_at(cfg.params, 0.0), cfg.Tc)
+    rho_c = gibbs_state(h0_at(cfg.params, 1.0), cfg.Th)
     p_eff = cfg.effective_p
     solver = AgpSolver(cfg.params, build_basis(n, p_eff)) if p_eff >= 1 else None
-    ref = adiabatic_reference(cfg)
-
-    rho_a = gibbs_state(h0_cold, cfg.Tc)
-    rho_c = gibbs_state(h0_hot, cfg.Th)
 
     layer_s = dict.fromkeys(LAYERS, 0.0)
 
     def once(steps1: int, steps3: int):
         s1 = propagate_stroke(rho_a, cfg.params, SweepSpec(cfg.tau1), cd=solver,
                               steps=steps1)
+        mirror = (cfg.tau3, steps3) == (cfg.tau1, steps1)
         s3 = propagate_stroke(rho_c, cfg.params, SweepSpec(cfg.tau3, reverse=True),
-                              cd=solver, steps=steps3)
+                              cd=solver, steps=steps3,
+                              betas=s1.betas[::-1] if mirror else None)
         for name in LAYERS:
             layer_s[name] += s1.diagnostics.layer_s[name] + s3.diagnostics.layer_s[name]
         return s1, s3
@@ -236,7 +240,6 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     w3 = s3.w_sta
     w_total = w1 + w3
 
-    cache_entries, cache_bytes = solver.cache_size if solver is not None else (0, 0)
     diagnostics = {
         "trace_drift": max(s1.diagnostics.trace_drift, s3.diagnostics.trace_drift),
         "purity_drift": max(s1.diagnostics.purity_drift, s3.diagnostics.purity_drift),
@@ -246,8 +249,6 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
         "pass_qc": pass_qc,
         "pass_steps": pass_steps,
         "layer_s": layer_s,
-        "agp_cache_entries": cache_entries,
-        "agp_cache_bytes": cache_bytes,
         "wall_s": time.perf_counter() - t0,
     }
 

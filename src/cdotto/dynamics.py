@@ -166,7 +166,9 @@ class StrokeResult:
     ``w_sta`` is the endpoint energy difference under the full driven
     Hamiltonian (the control term vanishes at both stroke ends), ``w_0``
     the trapezoid quadrature of Tr[rho dH0/dt] on the step grid, and
-    ``w_cd = w_sta - w_0`` exactly by construction.
+    ``w_cd = w_sta - w_0`` exactly by construction.  ``betas`` holds the
+    reduced control coefficients at every step's midpoint, shape
+    (steps, r), with r = 0 for a bare stroke.
     """
 
     final_state: DensityMatrix
@@ -176,15 +178,17 @@ class StrokeResult:
     e_start: float
     e_end: float
     diagnostics: StrokeDiagnostics
+    betas: np.ndarray
 
 
 def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSpec,
-                     cd=None, steps: int = 2000) -> StrokeResult:
+                     cd=None, steps: int = 2000, betas=None) -> StrokeResult:
     """Drive the state through one stroke of the cycle.
 
     ``cd`` selects the control: None runs the bare non-adiabatic sweep, an
-    ``AgpSolver`` (for the same parameters) drives it, and strokes that
-    share a solver share its per-theta cache.  The control term is
+    ``AgpSolver`` (for the same parameters) drives it.  Given ``betas`` of
+    shape (steps, r), the stroke takes those rows in place of solving at
+    its midpoints (see ``StrokeResult.betas``).  The control term is
     assembled in the solver's reduced coordinates,
     H_CD = theta_dot * sum_B beta_B O_B, and its squared Frobenius norm is
     2^N theta_dot^2 ||beta||^2; uniform and disordered endpoints differ only
@@ -236,6 +240,11 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
 
     dim = d0.shape[0]
     r, m = (stack.shape[0], solver.basis.size) if solver is not None else (0, 0)
+    solve = betas is None
+    if solve:
+        betas = np.empty((steps, r))
+    elif np.shape(betas) != (steps, r):
+        raise DimensionError(f"betas of shape {np.shape(betas)}, not ({steps}, {r})")
     chunk = max(1, CHUNK_BYTES // _step_bytes(dim, r, m))
     if solver is not None:
         stack = stack.reshape(r, dim * dim)
@@ -245,7 +254,9 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         th = grid.theta_mid[start:stop]
         t0 = time.perf_counter()
         if solver is not None:
-            beta = solver.reduced_batch(th)
+            if solve:
+                betas[start:stop] = solver.reduced_batch(th)
+            beta = betas[start:stop]
         t1 = time.perf_counter()
         h = d0 + th[:, None, None] * dd
         if solver is not None:
@@ -293,5 +304,5 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         layer_s=layer_s,
     )
     return StrokeResult(final_state=final, w_sta=w_sta, w_0=w_0, w_cd=w_cd,
-                        e_start=e_start, e_end=e_end, diagnostics=diag)
+                        e_start=e_start, e_end=e_end, diagnostics=diag, betas=betas)
 

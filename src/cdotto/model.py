@@ -196,7 +196,8 @@ class SweepSpec:
 
         Reverse strokes reuse the forward samples mirrored index-wise, so a
         forward and a reverse stroke of equal duration and step count visit
-        bitwise-identical theta values (which makes per-theta caches shared).
+        bitwise-identical theta values, and the reverse stroke can take the
+        forward stroke's control solutions (``cdotto.cycle.run_cycle``).
         """
         tau = self.duration
         t = tau * np.arange(steps + 1) / steps

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from cdotto.agp import AgpSolver, build_basis
+from cdotto import cycle
+from cdotto.agp import AgpSolver
 from cdotto.cycle import (
     CycleConfig,
     RunOptions,
@@ -16,8 +17,9 @@ from cdotto.cycle import (
     sweep,
 )
 from cdotto.dynamics import LAYERS
-from cdotto.errors import DomainError
+from cdotto.errors import CapacityError, DomainError
 from cdotto.model import EndpointParams, sweep_theta_dot
+from cdotto.paulis import DENSE_SITE_CAP
 
 FAST = RunOptions(steps_per_unit_time=1000, min_steps=200, converge=False)
 
@@ -58,19 +60,41 @@ class TestRunCycle:
             scale = abs(rep.W1) + abs(rep.W3) + abs(rep.Qc) + abs(rep.Qh) + rep.Tc
             assert abs(closure) <= 1e-8 * scale
 
-    def test_diagnostics_split_wall_time_and_size_the_cache(self):
-        cfg = uniform_cfg(2, 2)
-        diag = run_cycle(cfg, FAST).diagnostics
+    def test_diagnostics_split_wall_time(self):
+        diag = run_cycle(uniform_cfg(2, 2), FAST).diagnostics
         assert tuple(diag["layer_s"]) == LAYERS
         assert 0.0 < sum(diag["layer_s"].values()) <= diag["wall_s"]
-        # the reverse stroke's midpoints are the forward stroke's, so the
-        # cache holds one entry per step of one stroke
-        r = AgpSolver(cfg.params, build_basis(2, 2)).reduced_coefficients(0.5).size
-        steps = FAST.stroke_steps(cfg.tau1)
-        assert (diag["agp_cache_entries"], diag["agp_cache_bytes"]) == (steps, steps * r * 8)
         bare = run_cycle(uniform_cfg(2, 0), FAST).diagnostics
-        assert (bare["agp_cache_entries"], bare["agp_cache_bytes"]) == (0, 0)
         assert bare["layer_s"]["solve_s"] < bare["wall_s"]
+
+    @pytest.mark.parametrize("tau3", [1.0, 1.5])
+    def test_reverse_stroke_takes_forward_solutions_when_grids_mirror(self, tau3, monkeypatch):
+        cfg = CycleConfig(params=EndpointParams.uniform(2), p=2, tau1=1.0, tau3=tau3)
+        solved = []
+        reduced_batch = AgpSolver.reduced_batch
+
+        def counting_batch(self, thetas):
+            solved.extend(thetas)
+            return reduced_batch(self, thetas)
+
+        monkeypatch.setattr(AgpSolver, "reduced_batch", counting_batch)
+        rep = run_cycle(cfg, FAST)
+        steps1, steps3 = FAST.stroke_steps(cfg.tau1), FAST.stroke_steps(tau3)
+        assert rep.steps == steps1 + steps3
+        assert len(solved) == (steps1 if tau3 == cfg.tau1 else steps1 + steps3)
+
+    def test_dense_cap_fails_before_the_solver_is_built(self, monkeypatch):
+        built = []
+
+        def no_solver(*args):
+            built.append(args)
+            raise AssertionError("AgpSolver built for a point above the dense cap")
+
+        monkeypatch.setattr(cycle, "AgpSolver", no_solver)
+        cfg = uniform_cfg(DENSE_SITE_CAP + 1, 2)
+        with pytest.raises(CapacityError):
+            run_cycle(cfg, FAST)
+        assert built == []
 
     def test_single_site_exact_control_hits_lz_cop(self):
         rep = run_cycle(uniform_cfg(1, 1), RunOptions(converge=False))

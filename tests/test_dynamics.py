@@ -186,7 +186,7 @@ class TestPropagation:
         n = params.n_sites
         rho = gibbs_state(h0_at(params, 1.0 if reverse else 0.0), 0.4 if reverse else 0.2)
         spec = SweepSpec(1.0, reverse=reverse)
-        # the oracle gets a solver of its own, so the two share no per-theta cache
+        # the oracle gets a solver of its own, so it shares no state with the stroke
         solvers = [AgpSolver(params, build_basis(n, p)) if p else None for _ in range(2)]
         res = propagate_stroke(rho, params, spec, cd=solvers[0], steps=steps)
         converged = steps >= 2000
@@ -278,6 +278,39 @@ class TestPropagation:
         with pytest.raises(NumericalError, match=r"non-finite state at step 19 of 200$"):
             propagate_stroke(rho, PARAMS2, SweepSpec(1.0), steps=200)
         assert calls == [7, 7, 7]
+
+    @pytest.mark.parametrize("kind", ["uniform", "disordered"])
+    def test_reverse_stroke_given_forward_betas_equals_own_solve(self, kind):
+        params = EndpointParams.uniform(4) if kind == "uniform" else disordered_params(3)
+        n = params.n_sites
+        solver = AgpSolver(params, build_basis(n, 2))
+        steps = MIN_STEPS + 3
+        fwd = propagate_stroke(gibbs_state(h0_at(params, 0.0), 0.2), params, SweepSpec(1.0),
+                               cd=solver, steps=steps)
+        assert fwd.betas.shape == (steps, solver.reduced_stack.shape[0])
+        rho = gibbs_state(h0_at(params, 1.0), 0.4)
+        spec = SweepSpec(1.0, reverse=True)
+        own = propagate_stroke(rho, params, spec, cd=solver, steps=steps)
+        given = propagate_stroke(rho, params, spec, cd=solver, steps=steps,
+                                 betas=fwd.betas[::-1])
+        np.testing.assert_array_equal(given.betas, own.betas)
+        for name in ("e_end", "w_0", "w_cd"):
+            assert getattr(given, name) == getattr(own, name)
+        np.testing.assert_array_equal(given.final_state.matrix, own.final_state.matrix)
+        np.testing.assert_array_equal(given.diagnostics.hcd_norm_sq,
+                                      own.diagnostics.hcd_norm_sq)
+
+    def test_betas_of_wrong_shape_rejected(self):
+        solver = AgpSolver(PARAMS2, build_basis(2, 2))
+        rho = gibbs_state(h0_at(PARAMS2, 0.0), 0.2)
+        r = solver.reduced_stack.shape[0]
+        for shape in ((199, r), (200, r + 1), (200 * r,)):
+            with pytest.raises(DimensionError, match="betas of shape"):
+                propagate_stroke(rho, PARAMS2, SweepSpec(1.0), cd=solver, steps=200,
+                                 betas=np.zeros(shape))
+        # a bare stroke has no coefficients to take
+        with pytest.raises(DimensionError, match="betas of shape"):
+            propagate_stroke(rho, PARAMS2, SweepSpec(1.0), steps=200, betas=np.zeros((200, r)))
 
     def test_control_must_be_a_solver(self):
         rho = gibbs_state(h0_at(PARAMS1, 0.0), 0.2)
