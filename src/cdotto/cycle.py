@@ -181,13 +181,13 @@ def cd_cost(times: np.ndarray, hcd_norm_sq: np.ndarray, nu: float) -> float:
 def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleReport:
     """Propagate one full cycle and assemble every reported metric.
 
-    When both work strokes have one duration and step count, the reverse
-    stroke visits the forward stroke's midpoints in reverse order
-    (``SweepSpec.grid``) and takes the forward solutions reversed.  The
-    report's ``diagnostics`` carry the point's wall time, its split over
-    the stroke layers (``dynamics.LAYERS``, summed over every stroke of
-    every pass) and, per step-doubling pass, the pumped heat and the steps
-    of both strokes.
+    When both work strokes have one duration and step count, their grids
+    mirror (``SweepSpec.grid``), and one ``propagate_stroke`` call gives
+    both from the forward step unitaries (``reverse_from``); otherwise
+    stroke 3 propagates on its own.  The report's ``diagnostics`` carry
+    the point's wall time, its split over the stroke layers
+    (``dynamics.LAYERS``, summed over every stroke of every pass) and, per
+    step-doubling pass, the pumped heat and the steps of both strokes.
     """
     t0 = time.perf_counter()
     opt = options or RunOptions()
@@ -203,12 +203,11 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     layer_s = dict.fromkeys(LAYERS, 0.0)
 
     def once(steps1: int, steps3: int):
-        s1 = propagate_stroke(rho_a, cfg.params, SweepSpec(cfg.tau1), cd=solver,
-                              steps=steps1)
         mirror = (cfg.tau3, steps3) == (cfg.tau1, steps1)
-        s3 = propagate_stroke(rho_c, cfg.params, SweepSpec(cfg.tau3, reverse=True),
-                              cd=solver, steps=steps3,
-                              betas=s1.betas[::-1] if mirror else None)
+        s1 = propagate_stroke(rho_a, cfg.params, SweepSpec(cfg.tau1), cd=solver,
+                              steps=steps1, reverse_from=rho_c if mirror else None)
+        s3 = s1.reverse if mirror else propagate_stroke(
+            rho_c, cfg.params, SweepSpec(cfg.tau3, reverse=True), cd=solver, steps=steps3)
         for name in LAYERS:
             layer_s[name] += s1.diagnostics.layer_s[name] + s3.diagnostics.layer_s[name]
         return s1, s3

@@ -12,17 +12,24 @@ runs on one copy of each (``cdotto.collective``) and weights its traces by
 the block multiplicities; otherwise it runs on the full 2^N space with unit
 weights.  The step itself is the same in both.
 
+The step loop carries the prefix propagator P_k = U_k ... U_0, not the
+state: with c the trapezoid weights and D the trace weights, W_0 is
+dt Re Tr[rho_0 M], M = sum_k c_k theta_dot_k P_{k-1}^dagger D dH0/dtheta
+P_{k-1} (P_{-1} = I).  H0 is real and the control term is i theta_dot
+times a real antisymmetric matrix, so on the mirrored grid of S steps
+(``SweepSpec.grid``) step j is U_{S-1-j}^T: that stroke from rho_c ends in
+V^T rho_c conj(V), V = P_{S-1}, with W_0 = -dt Re Tr[V^dagger rho_c^T V M].
+
 The stroke grid is worked through in chunks of K consecutive steps.  Per
-chunk the solver serves the reduced coefficients of every midpoint in one
-batched solve, the K Hamiltonians are assembled by one product of the
-coefficients with the stack of control operators, and one stacked ``eigh``
-and one stacked product give the K step unitaries; only the conjugation
-rho <- U rho U^dagger runs step by step, and one ``einsum`` takes the K
-trace samples.  K is bounded in bytes, not in steps: the K steps' dense
-matrices, the solver's r x r systems and its m-long residual columns must
-fit in ``CHUNK_BYTES``, so small spaces take whole strokes in a few chunks
-while a large full-space solve runs one step per chunk, with the memory of
-a step-by-step loop.
+chunk one batched solve serves the reduced coefficients of every midpoint,
+one product with the stack of control operators assembles the K
+Hamiltonians, and one stacked ``eigh`` and one stacked product give the K
+step unitaries; only P <- U P runs step by step, and two products add the
+chunk's terms to M.  K is bounded in bytes, not in steps: the K steps'
+dense matrices, the solver's r x r systems and its m-long residual columns
+must fit in ``CHUNK_BYTES``, so small spaces take whole strokes in a few
+chunks while a large full-space solve runs one step per chunk, with the
+memory of a step-by-step loop.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ SYMMETRY_TOL = 1e-12
 #: runs max(1, CHUNK_BYTES // _step_bytes(...)) steps
 CHUNK_BYTES = 1 << 19
 
-#: the layers of a stroke whose wall time the diagnostics report, in step order
+#: the layers of a stroke whose wall time the diagnostics report, in step order;
+#: ``conjugate_s`` is the product P <- U P and ``trace_s`` the sum M
 LAYERS = ("solve_s", "assemble_s", "eigh_u_s", "conjugate_s", "trace_s")
 
 
@@ -58,8 +66,8 @@ def _step_bytes(dim: int, r: int, m: int) -> int:
     solver of r reduced coordinates and m strings (r = m = 0 when bare).
 
     About seven complex and two real dim x dim matrices (the Hamiltonian
-    and its parts, the eigenvectors, U, their adjoints and the state), four
-    r x r matrices of the stacked solve (the systems, their factors and
+    and its parts, the eigenvectors, U, P and its product with dH0/dtheta),
+    four r x r matrices of the stacked solve (the systems, their factors and
     temporaries) and four m-long residual columns.
     """
     return 8 * (16 * dim * dim + 4 * r * r + 4 * m)
@@ -84,11 +92,12 @@ class _FullSpace:
         return mat
 
 
-def _stroke_space(params: EndpointParams, rho0: np.ndarray):
+def _stroke_space(params: EndpointParams, *states: np.ndarray):
     """One copy of each collective-spin block if the data allow it, else the full space."""
     if params.is_uniform():
         space = collective_basis(params.n_sites)
-        if np.abs(space.lift(space.project(rho0)) - rho0).max() <= SYMMETRY_TOL:
+        if all(np.abs(space.lift(space.project(rho)) - rho).max() <= SYMMETRY_TOL
+               for rho in states):
             return space
     return _FullSpace(2 ** params.n_sites)
 
@@ -165,10 +174,9 @@ class StrokeResult:
 
     ``w_sta`` is the endpoint energy difference under the full driven
     Hamiltonian (the control term vanishes at both stroke ends), ``w_0``
-    the trapezoid quadrature of Tr[rho dH0/dt] on the step grid, and
-    ``w_cd = w_sta - w_0`` exactly by construction.  ``betas`` holds the
-    reduced control coefficients at every step's midpoint, shape
-    (steps, r), with r = 0 for a bare stroke.
+    the trapezoid quadrature of Tr[rho dH0/dtheta] theta_dot on the step
+    grid, and ``w_cd = w_sta - w_0`` exactly by construction.  ``reverse``
+    is the mirrored stroke when one was asked for (``propagate_stroke``).
     """
 
     final_state: DensityMatrix
@@ -178,31 +186,32 @@ class StrokeResult:
     e_start: float
     e_end: float
     diagnostics: StrokeDiagnostics
-    betas: np.ndarray
+    reverse: "StrokeResult | None" = None
 
 
 def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSpec,
-                     cd=None, steps: int = 2000, betas=None) -> StrokeResult:
+                     cd=None, steps: int = 2000,
+                     reverse_from: DensityMatrix | None = None) -> StrokeResult:
     """Drive the state through one stroke of the cycle.
 
     ``cd`` selects the control: None runs the bare non-adiabatic sweep, an
-    ``AgpSolver`` (for the same parameters) drives it.  Given ``betas`` of
-    shape (steps, r), the stroke takes those rows in place of solving at
-    its midpoints (see ``StrokeResult.betas``).  The control term is
+    ``AgpSolver`` (for the same parameters) drives it.  The control term is
     assembled in the solver's reduced coordinates,
     H_CD = theta_dot * sum_B beta_B O_B, and its squared Frobenius norm is
     2^N theta_dot^2 ||beta||^2; uniform and disordered endpoints differ only
     in the size of beta.  The diagnostics carry that norm at the interval
-    midpoints for the control-cost quadrature.  The control device's work
-    is the remainder ``w_cd = w_sta - w_0``; the tests check it against an
+    midpoints for the control-cost quadrature, and the wall time of each
+    layer of the chunked step (``LAYERS``).  The control device's work is
+    the remainder ``w_cd = w_sta - w_0``; the tests check it against an
     independent quadrature of Tr[rho dH_CD/dt] (``tests/oracles.py``).
 
-    The generators and ``rho0`` are projected once onto the stroke's space
-    (see the module docstring) and the final state is lifted back to 2^N.
-    The steps run in chunks (module docstring); the diagnostics also carry
-    the wall time spent in each layer of the chunked step (``LAYERS``).
+    Given ``reverse_from``, the result's ``reverse`` is the mirrored stroke
+    from it, with no solve, assembly or ``eigh`` of its own (module
+    docstring), the control norms reversed and no fallbacks or layer time.
+    The generators and states are projected once onto the stroke's space.
     """
-    if rho0.n_sites != params.n_sites:
+    starts = (rho0,) if reverse_from is None else (rho0, reverse_from)
+    if any(rho.n_sites != params.n_sites for rho in starts):
         raise DimensionError("state and parameters differ in n_sites")
     if steps < MIN_STEPS:
         raise DomainError(f"steps={steps} below the minimum of {MIN_STEPS}")
@@ -215,53 +224,43 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
             raise ValueError("solver was built for different endpoint parameters")
 
     n = params.n_sites
-    tau = sweep.duration
-    dt = tau / steps
+    dt = sweep.duration / steps
     grid = sweep.grid(steps)
-    scale = 2.0 ** n
 
-    space = _stroke_space(params, rho0.matrix)
+    space = _stroke_space(params, *(rho.matrix for rho in starts))
     # h0 coefficients are real, so both generators are real symmetric
     d0 = np.ascontiguousarray(space.project(to_dense(h0_at(params, 0.0)).real))
     dd = np.ascontiguousarray(space.project(to_dense(dh0_dtheta(params)).real))
-    stack = space.project(solver.reduced_stack) if solver is not None else None
     fallbacks_before = solver.fallbacks if solver is not None else 0
     # the weights are constant on each block, so they commute with every
     # generator; traces are taken against the weighted ones
     d0w = space.weights[:, None] * d0
     ddw = space.weights[:, None] * dd
 
-    rho = np.array(space.project(rho0.matrix), dtype=complex)
-    e_start = _re_trace_product(rho, d0w + grid.theta[0] * ddw)
-
-    f0 = np.empty(steps + 1)
-    f0[0] = grid.theta_dot[0] * _re_trace_product(rho, ddw)
-    norm_sq = np.zeros(steps)
+    # c_i theta_dot_i, the trapezoid weights of the W_0 samples
+    rates = grid.theta_dot * np.r_[0.5, np.ones(steps - 1), 0.5]
+    m_sum = rates[0] * ddw.astype(complex)
+    # the control term vanishes exactly at the stroke ends because the sweep rate does
+    hcd_norm_sq = np.zeros(steps + 2)
 
     dim = d0.shape[0]
-    r, m = (stack.shape[0], solver.basis.size) if solver is not None else (0, 0)
-    solve = betas is None
-    if solve:
-        betas = np.empty((steps, r))
-    elif np.shape(betas) != (steps, r):
-        raise DimensionError(f"betas of shape {np.shape(betas)}, not ({steps}, {r})")
+    prop = np.eye(dim, dtype=complex)
+    r, m = (solver.reduced_stack.shape[0], solver.basis.size) if solver is not None else (0, 0)
     chunk = max(1, CHUNK_BYTES // _step_bytes(dim, r, m))
     if solver is not None:
-        stack = stack.reshape(r, dim * dim)
+        stack = space.project(solver.reduced_stack).reshape(r, dim * dim)
     layer_s = dict.fromkeys(LAYERS, 0.0)
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
         th = grid.theta_mid[start:stop]
         t0 = time.perf_counter()
         if solver is not None:
-            if solve:
-                betas[start:stop] = solver.reduced_batch(th)
-            beta = betas[start:stop]
+            beta = solver.reduced_batch(th)
         t1 = time.perf_counter()
         h = d0 + th[:, None, None] * dd
         if solver is not None:
             td = grid.theta_dot_mid[start:stop]
-            norm_sq[start:stop] = (td * td) * scale * np.vecdot(beta, beta)
+            hcd_norm_sq[start + 1:stop + 1] = (td * td) * 2.0 ** n * np.vecdot(beta, beta)
             h_cd = np.empty(h.shape, dtype=complex)
             h_cd.real = h
             h_cd.imag = (td[:, None] * (beta @ stack)).reshape(h.shape)
@@ -269,40 +268,41 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         t2 = time.perf_counter()
         energies, vecs = np.linalg.eigh(h)
         u = (vecs * np.exp((-1j * dt) * energies)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-        u_adj = u.conj().transpose(0, 2, 1)
         t3 = time.perf_counter()
-        states = np.empty(u.shape, dtype=complex)
+        props = np.empty(u.shape, dtype=complex)
         for j in range(stop - start):
-            rho = states[j] = u[j] @ rho @ u_adj[j]
-        finite = np.isfinite(states).all(axis=(1, 2))
+            prop = props[j] = u[j] @ prop
+        finite = np.isfinite(props).all(axis=(1, 2))
         if not finite.all():
             raise NumericalError(f"non-finite state at step {start + int(finite.argmin()) + 1} "
                                  f"of {steps}")
         t4 = time.perf_counter()
-        f0[start + 1:stop + 1] = (grid.theta_dot[start + 1:stop + 1]
-                                  * np.einsum("kij,ji->k", states, ddw).real)
+        weighted = (rates[start + 1:stop + 1, None, None] * (ddw @ props)).reshape(-1, dim)
+        m_sum += props.reshape(-1, dim).conj().T @ weighted
         t5 = time.perf_counter()
         for name, elapsed in zip(LAYERS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
             layer_s[name] += elapsed
 
-    w_0 = float(np.trapezoid(f0, dx=dt))
-    e_end = _re_trace_product(rho, d0w + grid.theta[-1] * ddw)
-    w_sta = e_end - e_start
-    w_cd = w_sta - w_0
+    hcd_times = np.concatenate(([0.0], grid.t_mid, [sweep.duration]))
 
-    rho = space.lift(rho)
-    final = DensityMatrix(n, rho)
-    diag = StrokeDiagnostics(
-        steps=steps,
-        trace_drift=abs(float(np.trace(rho).real) - 1.0),
-        purity_drift=abs(final.purity - rho0.purity),
-        # the control term vanishes exactly at the stroke ends because the
-        # sweep rate does
-        hcd_times=np.concatenate(([0.0], grid.t_mid, [tau])),
-        hcd_norm_sq=np.concatenate(([0.0], norm_sq, [0.0])),
-        agp_fallbacks=(solver.fallbacks - fallbacks_before) if solver is not None else 0,
-        layer_s=layer_s,
-    )
-    return StrokeResult(final_state=final, w_sta=w_sta, w_0=w_0, w_cd=w_cd,
-                        e_start=e_start, e_end=e_end, diagnostics=diag, betas=betas)
+    def result(start, v, work, thetas, hcd, fallbacks, layers, reverse=None):
+        """The stroke from ``start`` with propagator ``v``; W_0 = dt Re Tr[rho0 work]."""
+        rho = space.project(start.matrix)
+        end = v @ rho @ v.conj().T
+        e_start, e_end = (_re_trace_product(x, d0w + th * ddw)
+                          for x, th in zip((rho, end), thetas))
+        w_0 = dt * _re_trace_product(rho, work)
+        lifted = space.lift(end)
+        final = DensityMatrix(n, lifted)
+        diag = StrokeDiagnostics(steps, abs(float(np.trace(lifted).real) - 1.0),
+                                 abs(final.purity - start.purity), hcd_times, hcd,
+                                 fallbacks, layers)
+        return StrokeResult(final, e_end - e_start, w_0, (e_end - e_start) - w_0, e_start, e_end,
+                            diag, reverse)
 
+    reverse = None if reverse_from is None else result(
+        reverse_from, prop.T, -(prop @ m_sum @ prop.conj().T).T, (grid.theta[-1], grid.theta[0]),
+        hcd_norm_sq[::-1], 0, dict.fromkeys(LAYERS, 0.0))
+    fallbacks = (solver.fallbacks - fallbacks_before) if solver is not None else 0
+    return result(rho0, prop, m_sum, (grid.theta[0], grid.theta[-1]), hcd_norm_sq, fallbacks,
+                  layer_s, reverse)

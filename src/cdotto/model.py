@@ -196,8 +196,9 @@ class SweepSpec:
 
         Reverse strokes reuse the forward samples mirrored index-wise, so a
         forward and a reverse stroke of equal duration and step count visit
-        bitwise-identical theta values, and the reverse stroke can take the
-        forward stroke's control solutions (``cdotto.cycle.run_cycle``).
+        bitwise-identical theta values with negated rates, and the reverse
+        stroke's step unitaries are the transposes of the forward ones
+        (``cdotto.dynamics``).
         """
         tau = self.duration
         t = tau * np.arange(steps + 1) / steps

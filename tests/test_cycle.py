@@ -69,19 +69,29 @@ class TestRunCycle:
 
     @pytest.mark.parametrize("tau3", [1.0, 1.5])
     def test_reverse_stroke_takes_forward_solutions_when_grids_mirror(self, tau3, monkeypatch):
+        # with tau1 = tau3 the reverse stroke is taken from the forward step
+        # unitaries: one pass solves and exponentiates steps1 midpoints
         cfg = CycleConfig(params=EndpointParams.uniform(2), p=2, tau1=1.0, tau3=tau3)
-        solved = []
-        reduced_batch = AgpSolver.reduced_batch
+        solved, exponentiated = [], []
+        reduced_batch, eigh = AgpSolver.reduced_batch, np.linalg.eigh
 
         def counting_batch(self, thetas):
             solved.extend(thetas)
             return reduced_batch(self, thetas)
 
+        def counting_eigh(h):
+            if h.ndim == 3:  # the strokes' stacked calls, not the dense states'
+                exponentiated.append(len(h))
+            return eigh(h)
+
         monkeypatch.setattr(AgpSolver, "reduced_batch", counting_batch)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         rep = run_cycle(cfg, FAST)
         steps1, steps3 = FAST.stroke_steps(cfg.tau1), FAST.stroke_steps(tau3)
         assert rep.steps == steps1 + steps3
-        assert len(solved) == (steps1 if tau3 == cfg.tau1 else steps1 + steps3)
+        expected = steps1 if tau3 == cfg.tau1 else steps1 + steps3
+        assert len(solved) == expected
+        assert sum(exponentiated) == expected
 
     def test_dense_cap_fails_before_the_solver_is_built(self, monkeypatch):
         built = []

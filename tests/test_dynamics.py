@@ -42,6 +42,15 @@ def _oracle_cases():
                        id="uniform-N7-p2-forward")
 
 
+def _rotated(rho, n, phi):
+    """rho turned by exp(-i phi sum_j X_j / 2), the exponential taken through eigh."""
+    x = oracles.dense_operator(n, {tuple("X" if k == j else "I" for k in range(n)): 0.5
+                                   for j in range(n)})
+    energies, vecs = np.linalg.eigh(x)
+    rot = (vecs * np.exp(-1j * phi * energies)) @ vecs.conj().T
+    return rot @ rho @ rot.conj().T
+
+
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
@@ -279,38 +288,52 @@ class TestPropagation:
             propagate_stroke(rho, PARAMS2, SweepSpec(1.0), steps=200)
         assert calls == [7, 7, 7]
 
-    @pytest.mark.parametrize("kind", ["uniform", "disordered"])
-    def test_reverse_stroke_given_forward_betas_equals_own_solve(self, kind):
-        params = EndpointParams.uniform(4) if kind == "uniform" else disordered_params(3)
+    @pytest.mark.parametrize("params,p", [
+        pytest.param(EndpointParams.uniform(4), 2, id="uniform-N4-p2"),
+        pytest.param(disordered_params(3), 3, id="disordered-N3-p3"),
+        pytest.param(EndpointParams.uniform(3), 0, id="bare-N3")])
+    @pytest.mark.parametrize("start", ["gibbs", "rotated", "product"])
+    def test_mirrored_stroke_matches_own_propagation_and_oracle(self, params, p, start):
+        # "rotated" turns the hot Gibbs state about the collective x axis, a
+        # complex Hermitian, permutation-symmetric state that pins the
+        # transpose in the mirrored stroke; "product" is |0101...>, which is
+        # not permutation-symmetric, so the pass must leave the collective space
         n = params.n_sites
-        solver = AgpSolver(params, build_basis(n, 2))
+        rho_a = gibbs_state(h0_at(params, 0.0), 0.2)
+        rho_c = gibbs_state(h0_at(params, 1.0), 0.4)
+        if start == "rotated":
+            rho_c = DensityMatrix(n, _rotated(rho_c.matrix, n, 0.7))
+        elif start == "product":
+            rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+            idx = int(("01" * n)[:n], 2)
+            rho[idx, idx] = 1.0
+            rho_c = DensityMatrix(n, rho)
         steps = MIN_STEPS + 3
-        fwd = propagate_stroke(gibbs_state(h0_at(params, 0.0), 0.2), params, SweepSpec(1.0),
-                               cd=solver, steps=steps)
-        assert fwd.betas.shape == (steps, solver.reduced_stack.shape[0])
-        rho = gibbs_state(h0_at(params, 1.0), 0.4)
-        spec = SweepSpec(1.0, reverse=True)
-        own = propagate_stroke(rho, params, spec, cd=solver, steps=steps)
-        given = propagate_stroke(rho, params, spec, cd=solver, steps=steps,
-                                 betas=fwd.betas[::-1])
-        np.testing.assert_array_equal(given.betas, own.betas)
-        for name in ("e_end", "w_0", "w_cd"):
-            assert getattr(given, name) == getattr(own, name)
-        np.testing.assert_array_equal(given.final_state.matrix, own.final_state.matrix)
-        np.testing.assert_array_equal(given.diagnostics.hcd_norm_sq,
-                                      own.diagnostics.hcd_norm_sq)
+        solvers = [AgpSolver(params, build_basis(n, p)) if p else None for _ in range(2)]
+        fused = propagate_stroke(rho_a, params, SweepSpec(1.0), cd=solvers[0], steps=steps,
+                                 reverse_from=rho_c)
+        forward = propagate_stroke(rho_a, params, SweepSpec(1.0), cd=solvers[1], steps=steps)
+        own = propagate_stroke(rho_c, params, SweepSpec(1.0, reverse=True), cd=solvers[1],
+                               steps=steps)
+        assert forward.reverse is None and own.reverse is None
+        for got, want in ((fused, forward), (fused.reverse, own)):
+            assert np.abs(got.final_state.matrix - want.final_state.matrix).max() <= 1e-12
+            for name in ("e_start", "e_end", "w_0", "w_cd"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
+            for name in ("trace_drift", "purity_drift"):
+                assert getattr(got.diagnostics, name) == pytest.approx(
+                    getattr(want.diagnostics, name), abs=1e-12)
+            np.testing.assert_array_equal(got.diagnostics.hcd_times, want.diagnostics.hcd_times)
+            np.testing.assert_allclose(got.diagnostics.hcd_norm_sq,
+                                       want.diagnostics.hcd_norm_sq, rtol=0, atol=1e-12)
+        assert fused.reverse.diagnostics.agp_fallbacks == 0
+        assert set(fused.reverse.diagnostics.layer_s.values()) == {0.0}
 
-    def test_betas_of_wrong_shape_rejected(self):
-        solver = AgpSolver(PARAMS2, build_basis(2, 2))
-        rho = gibbs_state(h0_at(PARAMS2, 0.0), 0.2)
-        r = solver.reduced_stack.shape[0]
-        for shape in ((199, r), (200, r + 1), (200 * r,)):
-            with pytest.raises(DimensionError, match="betas of shape"):
-                propagate_stroke(rho, PARAMS2, SweepSpec(1.0), cd=solver, steps=200,
-                                 betas=np.zeros(shape))
-        # a bare stroke has no coefficients to take
-        with pytest.raises(DimensionError, match="betas of shape"):
-            propagate_stroke(rho, PARAMS2, SweepSpec(1.0), steps=200, betas=np.zeros((200, r)))
+        ref = oracles.dense_stroke(rho_c.matrix, params, 1.0, steps, reverse=True,
+                                   solver=solvers[1], cd_work=False)
+        assert np.abs(fused.reverse.final_state.matrix - ref.final).max() <= 1e-10
+        assert fused.reverse.e_end == pytest.approx(ref.e_end, abs=1e-10)
+        assert fused.reverse.w_0 == pytest.approx(ref.w_0, abs=1e-10)
 
     def test_control_must_be_a_solver(self):
         rho = gibbs_state(h0_at(PARAMS1, 0.0), 0.2)
@@ -328,3 +351,6 @@ class TestPropagation:
         rho = gibbs_state(h0_at(PARAMS1, 0.0), 0.2)
         with pytest.raises(DimensionError):
             propagate_stroke(rho, PARAMS2, SweepSpec(1.0), steps=200)
+        with pytest.raises(DimensionError):
+            propagate_stroke(gibbs_state(h0_at(PARAMS2, 0.0), 0.2), PARAMS2, SweepSpec(1.0),
+                             steps=200, reverse_from=rho)
