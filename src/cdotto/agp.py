@@ -154,7 +154,7 @@ class AgpSolver:
     A single theta whose factorization or check fails falls back to
     minimum-norm least squares on the full system (counted in
     ``fallbacks``), whose m x m gram is the same build with one string per
-    orbit.  ``reduced_coefficients(theta)`` is the one-theta call.
+    orbit.
 
     The propagator uses the ``reduced_*`` members only:
     H_CD = theta_dot * sum_B beta_B O_B with O_B = sum_a q_aB O_a, and
@@ -285,10 +285,6 @@ class AgpSolver:
             self.fallbacks += 1
         return beta
 
-    def reduced_coefficients(self, theta: float) -> np.ndarray:
-        """Reduced solution beta(theta)."""
-        return self.reduced_batch([theta])[0]
-
     def coefficients(self, theta: float) -> np.ndarray:
         """Full-basis solution alpha(theta) = q beta(theta)."""
-        return self._weights * self.reduced_coefficients(theta)[self._slots]
+        return self._weights * self.reduced_batch([theta])[0][self._slots]

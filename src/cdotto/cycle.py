@@ -136,7 +136,6 @@ class AdiabaticReference:
 
     qc: float
     w_total: float
-    cop: float | None
     gap_flag: bool
     energies: tuple[float, float, float, float]
 
@@ -163,7 +162,6 @@ def adiabatic_reference(cfg: CycleConfig) -> AdiabaticReference:
     return AdiabaticReference(
         qc=qc,
         w_total=w_total,
-        cop=(qc / w_total) if w_total > 0 else None,
         gap_flag=bool(gap < 1e-9),
         energies=(e_a, e_b, e_c, e_d),
     )
@@ -181,12 +179,13 @@ def cd_cost(times: np.ndarray, hcd_norm_sq: np.ndarray, nu: float) -> float:
 def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleReport:
     """Propagate one full cycle and assemble every reported metric.
 
-    When both work strokes have one duration and step count, their grids
-    mirror (``SweepSpec.grid``), and one ``propagate_stroke`` call gives
-    both from the forward step unitaries (``reverse_from``); otherwise
-    stroke 3 propagates on its own.  The report's ``diagnostics`` carry
-    the point's wall time, its split over the stroke layers
-    (``dynamics.LAYERS``, summed over every stroke of every pass) and, per
+    Every ``propagate_stroke`` call sweeps theta from 0 to 1 starting in
+    rho_a.  Stroke 1 is the sweep of tau1; stroke 3 is the ``reverse`` of
+    the sweep of tau3, started in rho_c.  When both have one duration and
+    step count, a pass makes one call; otherwise it makes two.  The
+    report's ``diagnostics`` carry the point's wall time, its split over
+    the stroke layers (``dynamics.LAYERS``, summed over every call of every
+    pass), the AGP fallbacks of the final pass's calls and, per
     step-doubling pass, the pumped heat and the steps of both strokes.
     """
     t0 = time.perf_counter()
@@ -203,18 +202,20 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     layer_s = dict.fromkeys(LAYERS, 0.0)
 
     def once(steps1: int, steps3: int):
-        mirror = (cfg.tau3, steps3) == (cfg.tau1, steps1)
-        s1 = propagate_stroke(rho_a, cfg.params, SweepSpec(cfg.tau1), cd=solver,
-                              steps=steps1, reverse_from=rho_c if mirror else None)
-        s3 = s1.reverse if mirror else propagate_stroke(
-            rho_c, cfg.params, SweepSpec(cfg.tau3, reverse=True), cd=solver, steps=steps3)
-        for name in LAYERS:
-            layer_s[name] += s1.diagnostics.layer_s[name] + s3.diagnostics.layer_s[name]
-        return s1, s3
+        # one call per distinct sweep, keyed by (tau, steps) to its reverse_from;
+        # equal keys merge, so the first call then also gives stroke 3
+        sweeps = {(cfg.tau1, steps1): None, (cfg.tau3, steps3): rho_c}
+        calls = [propagate_stroke(rho_a, cfg.params, SweepSpec(tau), cd=solver, steps=steps,
+                                  reverse_from=start)
+                 for (tau, steps), start in sweeps.items()]
+        for call in calls:
+            for name in LAYERS:
+                layer_s[name] += call.diagnostics.layer_s[name]
+        return calls[0], calls[-1].reverse, calls
 
     steps1 = opt.stroke_steps(cfg.tau1)
     steps3 = opt.stroke_steps(cfg.tau3)
-    s1, s3 = once(steps1, steps3)
+    s1, s3, calls = once(steps1, steps3)
     pass_qc = [s1.e_start - s3.e_end]
     pass_steps = [steps1 + steps3]
     converged: bool | None = None
@@ -223,7 +224,7 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
         for _ in range(MAX_DOUBLINGS):
             steps1 *= 2
             steps3 *= 2
-            s1, s3 = once(steps1, steps3)
+            s1, s3, calls = once(steps1, steps3)
             pass_qc.append(s1.e_start - s3.e_end)
             pass_steps.append(steps1 + steps3)
             if abs(pass_qc[-1] - pass_qc[-2]) <= CONVERGE_TOL:
@@ -242,7 +243,7 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     diagnostics = {
         "trace_drift": max(s1.diagnostics.trace_drift, s3.diagnostics.trace_drift),
         "purity_drift": max(s1.diagnostics.purity_drift, s3.diagnostics.purity_drift),
-        "agp_fallbacks": s1.diagnostics.agp_fallbacks + s3.diagnostics.agp_fallbacks,
+        "agp_fallbacks": sum(call.diagnostics.agp_fallbacks for call in calls),
         "gap_flag": ref.gap_flag,
         "e_a": e_a, "e_b": e_b, "e_c": e_c, "e_d": e_d,
         "pass_qc": pass_qc,

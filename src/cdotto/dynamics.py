@@ -15,10 +15,12 @@ weights.  The step itself is the same in both.
 The step loop carries the prefix propagator P_k = U_k ... U_0, not the
 state: with c the trapezoid weights and D the trace weights, W_0 is
 dt Re Tr[rho_0 M], M = sum_k c_k theta_dot_k P_{k-1}^dagger D dH0/dtheta
-P_{k-1} (P_{-1} = I).  H0 is real and the control term is i theta_dot
-times a real antisymmetric matrix, so on the mirrored grid of S steps
-(``SweepSpec.grid``) step j is U_{S-1-j}^T: that stroke from rho_c ends in
-V^T rho_c conj(V), V = P_{S-1}, with W_0 = -dt Re Tr[V^dagger rho_c^T V M].
+P_{k-1} (P_{-1} = I).  The loop only sweeps theta from 0 to 1
+(``SweepSpec``); the compression stroke is the time reverse of a sweep of S
+steps, theta(tau - t).  H0 is real and the control term is i theta_dot
+times a real antisymmetric matrix, so its step j is U_{S-1-j}^T: from rho_c
+it ends in V^T rho_c conj(V), V = P_{S-1}, with
+W_0 = -dt Re Tr[V^dagger rho_c^T V M].
 
 The stroke grid is worked through in chunks of K consecutive steps.  Per
 chunk one batched solve serves the reduced coefficients of every midpoint,
@@ -176,7 +178,7 @@ class StrokeResult:
     Hamiltonian (the control term vanishes at both stroke ends), ``w_0``
     the trapezoid quadrature of Tr[rho dH0/dtheta] theta_dot on the step
     grid, and ``w_cd = w_sta - w_0`` exactly by construction.  ``reverse``
-    is the mirrored stroke when one was asked for (``propagate_stroke``).
+    is the time-reversed sweep when one was asked for (``propagate_stroke``).
     """
 
     final_state: DensityMatrix
@@ -205,9 +207,11 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     the remainder ``w_cd = w_sta - w_0``; the tests check it against an
     independent quadrature of Tr[rho dH_CD/dt] (``tests/oracles.py``).
 
-    Given ``reverse_from``, the result's ``reverse`` is the mirrored stroke
-    from it, with no solve, assembly or ``eigh`` of its own (module
-    docstring), the control norms reversed and no fallbacks or layer time.
+    Given ``reverse_from``, the result's ``reverse`` is the time-reversed
+    sweep, theta from 1 to 0, started from that state.  It has no solve,
+    assembly or ``eigh`` of its own (module docstring): its control norms
+    are the forward ones reversed, and it reports no fallbacks or layer
+    time, which stay with the forward result.
     The generators and states are projected once onto the stroke's space.
     """
     starts = (rho0,) if reverse_from is None else (rho0, reverse_from)

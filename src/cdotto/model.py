@@ -165,7 +165,6 @@ class StrokeGrid(NamedTuple):
     ``theta``/``theta_dot`` are sampled at the ``steps + 1`` grid points
     t_k = k tau / steps, the ``*_mid`` arrays at the ``steps`` interval
     midpoints ``t_mid``, where the propagator freezes the Hamiltonian.
-    Rates are signed: reverse strokes carry negative ``theta_dot``.
     """
 
     theta: np.ndarray
@@ -177,29 +176,20 @@ class StrokeGrid(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One isentropic stroke: duration and direction.
+    """One isentropic sweep of theta from 0 to 1 over ``duration``.
 
-    Forward strokes run theta from 0 to 1; reverse strokes exchange the
-    endpoints.  The reverse profile is the forward profile traversed
-    backwards in time, theta_rev(t) = theta_fwd(tau - t).
+    The compression stroke is the time reverse of such a sweep and is read
+    off its step unitaries (``cdotto.dynamics.propagate_stroke``).
     """
 
     duration: float
-    reverse: bool = False
 
     def __post_init__(self):
         if self.duration <= 0:
             raise DomainError("stroke duration must be positive")
 
     def grid(self, steps: int) -> StrokeGrid:
-        """Evaluate the profile on a uniform grid.
-
-        Reverse strokes reuse the forward samples mirrored index-wise, so a
-        forward and a reverse stroke of equal duration and step count visit
-        bitwise-identical theta values with negated rates, and the reverse
-        stroke's step unitaries are the transposes of the forward ones
-        (``cdotto.dynamics``).
-        """
+        """Evaluate the profile on a uniform grid."""
         tau = self.duration
         t = tau * np.arange(steps + 1) / steps
         t_mid = tau * (np.arange(steps) + 0.5) / steps
@@ -207,9 +197,4 @@ class SweepSpec:
         thd = np.asarray(sweep_theta_dot(t, tau))
         thm = np.asarray(sweep_theta(t_mid, tau))
         thdm = np.asarray(sweep_theta_dot(t_mid, tau))
-        if self.reverse:
-            th = th[::-1].copy()
-            thd = -thd[::-1]
-            thm = thm[::-1].copy()
-            thdm = -thdm[::-1]
         return StrokeGrid(th, thd, t_mid, thm, thdm)

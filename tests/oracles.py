@@ -11,7 +11,8 @@ one symbolic commutator per string and m x m matrices, the reference for
 the solver's bit-mask build.  ``dense_stroke`` propagates a stroke with
 dense matrices, its own sweep profile and exponentials from scipy's
 ``eigh`` (a LAPACK apart from numpy's), and integrates both parts of the
-work split, the reference for ``cdotto.dynamics.propagate_stroke``.
+work split, the reference for ``cdotto.dynamics.propagate_stroke``;
+``MirroredSweep`` hands that function the time-reversed grid to step.
 ``lz_cop`` is the two-level closed form of the coefficient of performance.
 """
 
@@ -22,7 +23,7 @@ import scipy.linalg
 from scipy.linalg.blas import dgemv, zgemm
 
 from cdotto.errors import DimensionError, DomainError
-from cdotto.model import dh0_dtheta, h0_at
+from cdotto.model import StrokeGrid, SweepSpec, dh0_dtheta, h0_at
 from cdotto.paulis import OperatorSum, commutator
 
 I2 = np.eye(2, dtype=complex)
@@ -224,6 +225,20 @@ def sweep_profile(t, tau):
     theta_ddot = 0.5 * np.pi * (np.pi * np.cos(np.pi * s) * s_dot ** 2
                                 + np.sin(np.pi * s) * s_ddot)
     return theta, theta_dot, theta_ddot
+
+
+class MirroredSweep(SweepSpec):
+    """The compression stroke as a grid of its own, theta_rev(t) = theta(tau - t).
+
+    The forward samples mirrored index-wise, with negated rates, so
+    ``propagate_stroke`` steps the time-reversed sweep itself: the
+    reference for the ``reverse`` it reads off the forward step unitaries.
+    """
+
+    def grid(self, steps: int) -> StrokeGrid:
+        fwd = super().grid(steps)
+        return StrokeGrid(fwd.theta[::-1].copy(), -fwd.theta_dot[::-1], fwd.t_mid,
+                          fwd.theta_mid[::-1].copy(), -fwd.theta_dot_mid[::-1])
 
 
 class DenseStroke(NamedTuple):

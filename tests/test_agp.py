@@ -213,7 +213,7 @@ class TestSolverFastPath:
         thetas = np.linspace(0.01, 0.99, 37)
         batched, single = AgpSolver(params, basis), AgpSolver(params, basis)
         betas = batched.reduced_batch(thetas)
-        want = np.array([single.reduced_coefficients(t) for t in thetas])
+        want = np.array([single.reduced_batch([t])[0] for t in thetas])
         assert betas.shape == want.shape
         assert np.abs(betas - want).max() <= 1e-12
         # repeats in a batch are solved alike, and as in the first batch
@@ -327,7 +327,7 @@ class TestMaskBuild:
         solver = AgpSolver(params, build_basis(8, 4))
         assert solver.basis.size == 3648
         for theta in np.linspace(0.0, 1.0, 11):
-            beta = solver.reduced_coefficients(theta)
+            beta = solver.reduced_batch([theta])[0]
             assert beta.shape == (13,)
             assert solver._normal_residual(theta, beta) <= solver._tol
         assert solver.fallbacks == 0
@@ -355,7 +355,7 @@ class TestReducedCoordinates:
             basis = build_basis(n, p)
             solver = AgpSolver(params, basis)
             for theta in (0.2, 0.65):
-                beta = solver.reduced_coefficients(theta)
+                beta = solver.reduced_batch([theta])[0]
                 alpha = solver.coefficients(theta)
                 reduced = theta_dot * np.tensordot(beta, solver.reduced_stack, axes=1)
                 full = dense_control_term(basis, alpha, theta_dot)
@@ -388,13 +388,13 @@ class TestReducedCoordinates:
                            h_f=[0.0, 0.0], b_f=[-0.5, -0.3], j_f=[-0.1]),
         ):
             solver = AgpSolver(params, build_basis(2, 2))
-            solver.reduced_coefficients(0.3)
+            solver.reduced_batch([0.3])
             assert solver.fallbacks == 0
-            beta = solver.reduced_coefficients(0.5)
+            beta = solver.reduced_batch([0.5])[0]
             assert solver.fallbacks == 1
             np.testing.assert_array_equal(beta, 0.0)
             # nothing is kept: a repeat solves, and falls back, again
-            np.testing.assert_array_equal(solver.reduced_coefficients(0.5), 0.0)
+            np.testing.assert_array_equal(solver.reduced_batch([0.5])[0], 0.0)
             assert solver.fallbacks == 2
 
     def test_batch_with_zero_gram_counts_one_fallback(self):
@@ -414,6 +414,6 @@ class TestReducedCoordinates:
             np.testing.assert_array_equal(betas[2], 0.0)
             single = AgpSolver(params, build_basis(2, 2))
             for theta, beta in zip(thetas, betas):
-                np.testing.assert_array_equal(beta, single.reduced_coefficients(theta))
+                np.testing.assert_array_equal(beta, single.reduced_batch([theta])[0])
             np.testing.assert_array_equal(solver.reduced_batch(thetas), betas)
             assert solver.fallbacks == 2

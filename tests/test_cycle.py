@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from cdotto import cycle
-from cdotto.agp import AgpSolver
+from cdotto import agp, cycle
+from cdotto.agp import AgpSolver, build_basis
 from cdotto.cycle import (
     CycleConfig,
     RunOptions,
@@ -16,10 +16,12 @@ from cdotto.cycle import (
     run_cycle,
     sweep,
 )
-from cdotto.dynamics import LAYERS
+from cdotto.dynamics import LAYERS, gibbs_state
 from cdotto.errors import CapacityError, DomainError
-from cdotto.model import EndpointParams, sweep_theta_dot
+from cdotto.model import EndpointParams, h0_at, sweep_theta_dot
 from cdotto.paulis import DENSE_SITE_CAP
+
+from test_model import disordered_params
 
 FAST = RunOptions(steps_per_unit_time=1000, min_steps=200, converge=False)
 
@@ -54,8 +56,9 @@ class TestConfig:
 
 class TestRunCycle:
     def test_first_law_closure(self):
-        for n, p in ((1, 0), (2, 1), (3, 2)):
-            rep = run_cycle(uniform_cfg(n, p), FAST)
+        for cfg in (uniform_cfg(1, 0), uniform_cfg(2, 1), uniform_cfg(3, 2),
+                    CycleConfig(EndpointParams.uniform(2), p=2, tau1=1.0, tau3=1.5)):
+            rep = run_cycle(cfg, FAST)
             closure = rep.W1 + rep.W3 + rep.Qc + rep.Qh
             scale = abs(rep.W1) + abs(rep.W3) + abs(rep.Qc) + abs(rep.Qh) + rep.Tc
             assert abs(closure) <= 1e-8 * scale
@@ -92,6 +95,63 @@ class TestRunCycle:
         expected = steps1 if tau3 == cfg.tau1 else steps1 + steps3
         assert len(solved) == expected
         assert sum(exponentiated) == expected
+
+    @pytest.mark.parametrize("params,p", [
+        pytest.param(EndpointParams.uniform(3), 2, id="uniform-N3-p2"),
+        pytest.param(disordered_params(3), 1, id="disordered-N3-p1")])
+    def test_unequal_strokes_match_dense_oracle_cycle(self, params, p):
+        # stroke 3 is read off a forward tau3 sweep; the oracle steps the
+        # time-reversed profile from rho_c itself
+        cfg = CycleConfig(params=params, p=p, tau1=1.0, tau3=1.5)
+        rep = run_cycle(cfg, FAST)
+        n = params.n_sites
+        pairs = [(j, k) for j in range(1, n) for k in range(j)]
+        h_cold = oracles.dense_ising(n, params.h_i, params.b_i, dict(zip(pairs, params.j_i)))
+        h_hot = oracles.dense_ising(n, params.h_f, params.b_f, dict(zip(pairs, params.j_f)))
+        rho_a = gibbs_state(h0_at(params, 0.0), cfg.Tc).matrix
+        rho_c = gibbs_state(h0_at(params, 1.0), cfg.Th).matrix
+        solver = AgpSolver(params, build_basis(n, p))
+        s1 = oracles.dense_stroke(rho_a, params, cfg.tau1, FAST.stroke_steps(cfg.tau1),
+                                  solver=solver, cd_work=False)
+        s3 = oracles.dense_stroke(rho_c, params, cfg.tau3, FAST.stroke_steps(cfg.tau3),
+                                  reverse=True, solver=solver, cd_work=False)
+        e_a = float(np.sum(rho_a * h_cold.T).real)
+        e_c = float(np.sum(rho_c * h_hot.T).real)
+        assert rep.W1 == pytest.approx(s1.e_end - e_a, abs=1e-10)
+        assert rep.W3 == pytest.approx(s3.e_end - e_c, abs=1e-10)
+        assert rep.Qc == pytest.approx(e_a - s3.e_end, abs=1e-10)
+        assert rep.W0_total == pytest.approx(s1.w_0 + s3.w_0, abs=1e-10)
+
+    def test_unequal_strokes_sum_fallbacks_and_layer_time_per_call(self, monkeypatch):
+        # with tau1 != tau3 a pass makes two calls, and stroke 3 is the second
+        # call's reverse, which reports no fallbacks or layer time of its own;
+        # a zero residual tolerance sends almost every theta to the fallback
+        monkeypatch.setattr(agp, "RESIDUAL_RTOL", 0.0)
+        cfg = CycleConfig(EndpointParams.uniform(2), p=2, tau1=1.0, tau3=1.5)
+        fallbacks, calls = [], []
+        least_squares, propagate = AgpSolver._least_squares, cycle.propagate_stroke
+
+        def counting_least_squares(self, theta):
+            fallbacks.append(theta)
+            return least_squares(self, theta)
+
+        def recording_propagate(*args, **kwargs):
+            before = len(fallbacks)
+            res = propagate(*args, **kwargs)
+            calls.append((res, len(fallbacks) - before))
+            return res
+
+        monkeypatch.setattr(AgpSolver, "_least_squares", counting_least_squares)
+        monkeypatch.setattr(cycle, "propagate_stroke", recording_propagate)
+        opts = RunOptions(steps_per_unit_time=200, min_steps=200, converge=True)
+        diag = run_cycle(cfg, opts).diagnostics
+        assert len(diag["pass_qc"]) >= 2 and len(calls) == 2 * len(diag["pass_qc"])
+        final = [count for _, count in calls[-2:]]
+        assert min(final) > 0 and sum(final) < len(fallbacks)
+        assert diag["agp_fallbacks"] == sum(final)
+        for name in LAYERS:
+            assert diag["layer_s"][name] == pytest.approx(
+                sum(res.diagnostics.layer_s[name] for res, _ in calls), rel=1e-12)
 
     def test_dense_cap_fails_before_the_solver_is_built(self, monkeypatch):
         built = []

@@ -184,8 +184,8 @@ class TestPropagation:
         solver = AgpSolver(params, build_basis(2, 2))
         rho = gibbs_state(h0_at(params, 0.0), 0.2)
         fwd = propagate_stroke(rho, params, SweepSpec(1.0), cd=solver, steps=1000)
-        back = propagate_stroke(fwd.final_state, params,
-                                SweepSpec(1.0, reverse=True), cd=solver, steps=1000)
+        back = propagate_stroke(rho, params, SweepSpec(1.0), cd=solver, steps=1000,
+                                reverse_from=fwd.final_state).reverse
         pops0 = np.sort(np.linalg.eigvalsh(rho.matrix))
         pops1 = np.sort(np.linalg.eigvalsh(back.final_state.matrix))
         np.testing.assert_allclose(pops1, pops0, atol=1e-8)
@@ -193,11 +193,14 @@ class TestPropagation:
     @pytest.mark.parametrize("params,p,steps,reverse", _oracle_cases())
     def test_matches_dense_stroke_oracle(self, params, p, steps, reverse):
         n = params.n_sites
-        rho = gibbs_state(h0_at(params, 1.0 if reverse else 0.0), 0.4 if reverse else 0.2)
-        spec = SweepSpec(1.0, reverse=reverse)
+        rho_a = gibbs_state(h0_at(params, 0.0), 0.2)
+        rho = gibbs_state(h0_at(params, 1.0), 0.4) if reverse else rho_a
         # the oracle gets a solver of its own, so it shares no state with the stroke
         solvers = [AgpSolver(params, build_basis(n, p)) if p else None for _ in range(2)]
-        res = propagate_stroke(rho, params, spec, cd=solvers[0], steps=steps)
+        res = propagate_stroke(rho_a, params, SweepSpec(1.0), cd=solvers[0], steps=steps,
+                               reverse_from=rho if reverse else None)
+        if reverse:
+            res = res.reverse
         converged = steps >= 2000
         ref = oracles.dense_stroke(rho.matrix, params, 1.0, steps, reverse=reverse,
                                    solver=solvers[1], cd_work=converged)
@@ -313,7 +316,7 @@ class TestPropagation:
         fused = propagate_stroke(rho_a, params, SweepSpec(1.0), cd=solvers[0], steps=steps,
                                  reverse_from=rho_c)
         forward = propagate_stroke(rho_a, params, SweepSpec(1.0), cd=solvers[1], steps=steps)
-        own = propagate_stroke(rho_c, params, SweepSpec(1.0, reverse=True), cd=solvers[1],
+        own = propagate_stroke(rho_c, params, oracles.MirroredSweep(1.0), cd=solvers[1],
                                steps=steps)
         assert forward.reverse is None and own.reverse is None
         for got, want in ((fused, forward), (fused.reverse, own)):

@@ -188,21 +188,3 @@ class TestSweepSpec:
         grid = SweepSpec(2.0).grid(100)
         assert grid.theta[0] == 0.0 and grid.theta[-1] == 1.0
         assert grid.theta_dot[0] == 0.0
-
-    def test_reverse_is_bitwise_mirror_of_forward(self):
-        fwd = SweepSpec(1.5).grid(64)
-        rev = SweepSpec(1.5, reverse=True).grid(64)
-        np.testing.assert_array_equal(rev.theta, fwd.theta[::-1])
-        np.testing.assert_array_equal(rev.theta_dot, -fwd.theta_dot[::-1])
-        np.testing.assert_array_equal(rev.theta_mid, fwd.theta_mid[::-1])
-        np.testing.assert_array_equal(rev.theta_dot_mid, -fwd.theta_dot_mid[::-1])
-
-    def test_reverse_scalar_profile(self):
-        # theta_rev(t) = theta_fwd(tau - t) = 1 - theta_fwd(t) on the reverse grid's own times
-        grid = SweepSpec(2.0, reverse=True).grid(10)
-        t = 2.0 * np.arange(11) / 10
-        assert grid.theta[0] == 1.0 and grid.theta[-1] == 0.0
-        np.testing.assert_allclose(grid.theta, 1.0 - sweep_theta(t, 2.0),
-                                   rtol=0, atol=1e-14)
-        np.testing.assert_allclose(grid.theta_dot, -sweep_theta_dot(2.0 - t, 2.0),
-                                   rtol=0, atol=1e-14)
