@@ -8,7 +8,8 @@ Usage:
 Exactly the columns below are written, one row per grid point, floats in
 shortest round-trip decimals so reruns are byte-identical.  Per-point
 diagnostics (wall time and its split over the stroke layers, Qc and steps
-per step-doubling pass, trace and purity drift, AGP fallbacks, gap flag)
+per step-doubling pass, the error estimate of a converging run's Qc, trace
+and purity drift, AGP fallbacks, gap flag)
 go to ``diagnostics.json``, and a JSON manifest (config digest, timings,
 per-point failures, the diagnostics file) is written last.  Each finished
 point prints a progress line on stderr.
@@ -138,7 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="worker processes (default: available parallelism)")
     run.add_argument("--steps-per-unit-time", type=_positive_float, default=None,
                      help="fix the integrator step rate and skip the "
-                          "step-doubling convergence check")
+                          "step-doubling convergence check; steps per stroke "
+                          f"stay clipped to [{RunOptions.min_steps}, "
+                          f"{RunOptions.max_steps}]")
     return parser
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agp import AgpSolver, build_basis
-from .dynamics import LAYERS, boltzmann_weights, gibbs_state, propagate_stroke
+from .dynamics import LAYERS, MIN_STEPS, boltzmann_weights, gibbs_state, propagate_stroke
 from .errors import DomainError
 from .model import EndpointParams, SweepSpec, h0_at
 from .paulis import to_dense
@@ -72,18 +72,22 @@ class CycleConfig:
 
 #: the step-doubling stop rule of ``RunOptions.converge``
 CONVERGE_TOL = 1e-7
-MAX_DOUBLINGS = 3
+MAX_DOUBLINGS = 4
 
 
 @dataclass(frozen=True)
 class RunOptions:
     """Numerical knobs for cycle runs.
 
-    The step count per stroke is ``steps_per_unit_time * tau`` clipped to
-    ``[min_steps, max_steps]``.  With ``converge=True`` the cycle is rerun
-    with doubled steps until the pumped heat changes by at most
-    ``CONVERGE_TOL`` (up to ``MAX_DOUBLINGS`` times); the finest run is
-    reported together with an honest ``converged`` flag.
+    The step count s per stroke is ``steps_per_unit_time * tau`` rounded up
+    and clipped to ``[min_steps, max_steps]``, with or without ``converge``.
+    With ``converge=True`` the cycle runs passes of s // 2, s, 2 s, ... up
+    to ``MAX_DOUBLINGS`` doublings of the first (the s // 2 pass is skipped
+    where it falls below ``dynamics.MIN_STEPS``) and stops at the first pass
+    whose pumped heat is within ``CONVERGE_TOL`` of the previous pass's.
+    That pass is reported, with ``converged`` True; if no pass settles, the
+    finest is reported with ``converged`` False.  The rule watches ``Qc``
+    alone, not the works.
     """
 
     steps_per_unit_time: float = 2000.0
@@ -135,7 +139,6 @@ class AdiabaticReference:
     """Infinitely slow cycle computed by eigenvalue transport, no propagation."""
 
     qc: float
-    w_total: float
     gap_flag: bool
     energies: tuple[float, float, float, float]
 
@@ -156,12 +159,9 @@ def adiabatic_reference(cfg: CycleConfig) -> AdiabaticReference:
     e_b = float(p_a @ e_hot)
     e_c = float(p_c @ e_hot)
     e_d = float(p_c @ e_cold)
-    qc = e_a - e_d
-    w_total = (e_b - e_a) + (e_d - e_c)
     gap = min(float(np.diff(e_cold).min()), float(np.diff(e_hot).min()))
     return AdiabaticReference(
-        qc=qc,
-        w_total=w_total,
+        qc=e_a - e_d,
         gap_flag=bool(gap < 1e-9),
         energies=(e_a, e_b, e_c, e_d),
     )
@@ -187,6 +187,10 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     the stroke layers (``dynamics.LAYERS``, summed over every call of every
     pass), the AGP fallbacks of the final pass's calls and, per
     step-doubling pass, the pumped heat and the steps of both strokes.
+    With ``converge`` (see ``RunOptions`` for the pass schedule) they also
+    carry ``qc_error``, |Qc change| / 3 over the last two passes: the
+    second-order Richardson estimate of the reported ``Qc``'s error.  It is
+    None for a fixed-rate run, which makes one pass.
     """
     t0 = time.perf_counter()
     opt = options or RunOptions()
@@ -215,21 +219,23 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
 
     steps1 = opt.stroke_steps(cfg.tau1)
     steps3 = opt.stroke_steps(cfg.tau3)
-    s1, s3, calls = once(steps1, steps3)
-    pass_qc = [s1.e_start - s3.e_end]
-    pass_steps = [steps1 + steps3]
-    converged: bool | None = None
     if opt.converge:
-        converged = False
-        for _ in range(MAX_DOUBLINGS):
-            steps1 *= 2
-            steps3 *= 2
-            s1, s3, calls = once(steps1, steps3)
-            pass_qc.append(s1.e_start - s3.e_end)
-            pass_steps.append(steps1 + steps3)
-            if abs(pass_qc[-1] - pass_qc[-2]) <= CONVERGE_TOL:
-                converged = True
-                break
+        # pass k runs (s << k) >> 1 steps per stroke: s // 2, s, 2 s, ...;
+        # the half-step pass is dropped where it falls below MIN_STEPS
+        schedule = [(steps1 << k >> 1, steps3 << k >> 1) for k in range(MAX_DOUBLINGS + 1)]
+        if min(schedule[0]) < MIN_STEPS:
+            del schedule[0]
+    else:
+        schedule = [(steps1, steps3)]
+    pass_qc, pass_steps = [], []
+    converged: bool | None = False if opt.converge else None
+    for pass_steps1, pass_steps3 in schedule:
+        s1, s3, calls = once(pass_steps1, pass_steps3)
+        pass_qc.append(s1.e_start - s3.e_end)
+        pass_steps.append(pass_steps1 + pass_steps3)
+        if len(pass_qc) > 1 and abs(pass_qc[-1] - pass_qc[-2]) <= CONVERGE_TOL:
+            converged = True
+            break
 
     # endpoint energies; the control term vanishes at every stroke end
     e_a, e_b = s1.e_start, s1.e_end
@@ -248,6 +254,7 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
         "e_a": e_a, "e_b": e_b, "e_c": e_c, "e_d": e_d,
         "pass_qc": pass_qc,
         "pass_steps": pass_steps,
+        "qc_error": abs(pass_qc[-1] - pass_qc[-2]) / 3 if opt.converge else None,
         "layer_s": layer_s,
         "wall_s": time.perf_counter() - t0,
     }

@@ -10,7 +10,7 @@ import pytest
 
 import cdotto
 from cdotto.cli import CSV_COLUMNS, RunManifest, emit_results, main
-from cdotto.cycle import default_workers
+from cdotto.cycle import CONVERGE_TOL, default_workers
 
 CONFIG = "N = 1,2\np = 0,1\ntau = 0.5\n"
 
@@ -60,6 +60,7 @@ class TestRun:
         for pt in points:
             assert pt["label"].startswith("N=")
             assert pt["pass_steps"] == [2000] and len(pt["pass_qc"]) == 1
+            assert pt["qc_error"] is None
             assert pt["wall_s"] > 0 and pt["agp_fallbacks"] == 0
             assert pt["trace_drift"] <= 1e-10 and pt["purity_drift"] <= 1e-10
         progress = [line for line in capsys.readouterr().err.splitlines()
@@ -78,6 +79,9 @@ class TestRun:
         assert len(pt["pass_qc"]) == len(pt["pass_steps"]) >= 2
         assert pt["pass_steps"][-1] == int(row["steps"])
         assert pt["pass_qc"][-1] == float(row["Qc"])
+        # the second-order Richardson estimate of the reported Qc's error
+        assert pt["qc_error"] == abs(pt["pass_qc"][-1] - pt["pass_qc"][-2]) / 3
+        assert row["converged"] == "true" and pt["qc_error"] <= CONVERGE_TOL / 3
 
     def test_manifest_records_default_workers(self, tmp_path, config_file):
         out = tmp_path / "out"

@@ -199,8 +199,32 @@ class TestRunCycle:
     def test_convergence_doubling(self):
         opts = RunOptions(steps_per_unit_time=500, min_steps=200, converge=True)
         rep = run_cycle(uniform_cfg(1, 1), opts)
+        pass_steps = rep.diagnostics["pass_steps"]
         assert rep.converged is True
-        assert rep.steps >= 2000  # at least one doubling from 500 + 500
+        assert len(pass_steps) >= 2 and pass_steps[-1] == rep.steps
+        # the first pass runs half the steps the options ask for
+        assert rep.steps >= 2 * opts.stroke_steps(1.0)
+        assert 2 * pass_steps[-2] == rep.steps
+
+    @pytest.mark.parametrize("params,p,tau3,at_once", [
+        pytest.param(EndpointParams.uniform(2), 0, 1.0, False, id="uniform-N2-p0"),
+        pytest.param(EndpointParams.uniform(3), 3, 1.0, True, id="uniform-N3-p3"),
+        pytest.param(disordered_params(3), 1, 1.0, False, id="disordered-N3-p1"),
+        pytest.param(EndpointParams.uniform(2), 1, 1.5, True, id="uniform-N2-p1-tau3")])
+    def test_converged_flag_is_honest(self, params, p, tau3, at_once):
+        # a converged Qc lies within the tolerance of a run at four times
+        # the reported steps of each stroke
+        rate = 200.0
+        opts = RunOptions(steps_per_unit_time=rate, min_steps=200, converge=True)
+        cfg = CycleConfig(params=params, p=p, tau1=1.0, tau3=tau3)
+        rep = run_cycle(cfg, opts)
+        assert rep.converged is True
+        requested = opts.stroke_steps(cfg.tau1) + opts.stroke_steps(cfg.tau3)
+        assert (rep.steps == requested) is at_once
+        fine = run_cycle(cfg, RunOptions(steps_per_unit_time=4 * rate * rep.steps / requested,
+                                         min_steps=200, converge=False))
+        assert fine.steps == 4 * rep.steps
+        assert abs(rep.Qc - fine.Qc) <= cycle.CONVERGE_TOL
 
     def test_convergence_flag_unchecked_when_disabled(self):
         rep = run_cycle(uniform_cfg(1, 0), FAST)
@@ -223,7 +247,8 @@ class TestAdiabaticReference:
                                         h_f=0.2, b_f=0.1, j_f=0.05)
         cfg = CycleConfig(params=params, p=0, tau1=1.0, tau3=1.0)
         ref = adiabatic_reference(cfg)
-        assert ref.w_total == pytest.approx(0.0, abs=1e-14)
+        e_a, e_b, e_c, e_d = ref.energies
+        assert (e_b - e_a) + (e_d - e_c) == pytest.approx(0.0, abs=1e-14)
         energies = np.linalg.eigvalsh(
             oracles.dense_ising(2, [0.2, 0.2], [0.1, 0.1], {(1, 0): 0.05}))
         p_cold = oracles.gibbs_populations(energies, 0.2)
