@@ -40,7 +40,7 @@ from .errors import DimensionError, DomainError
 from .model import EndpointParams, dh0_dtheta, h0_at
 from .paulis import dense_strings, i_commutator_table, pauli_masks, string_phases
 
-#: rcond of the minimum-norm least-squares fallback on the full system
+#: rcond of the minimum-norm least-squares fallback on the reduced system
 LSTSQ_RCOND = 1e-12
 
 #: a reduced solution is kept when the full normal-equation residual is at
@@ -152,9 +152,11 @@ class AgpSolver:
     of them taken as one stacked product with the P_k q.  If the stacked
     factorization fails, each theta goes through the same path on its own.
     A single theta whose factorization or check fails falls back to
-    minimum-norm least squares on the full system (counted in
-    ``fallbacks``), whose m x m gram is the same build with one string per
-    orbit.
+    minimum-norm least squares on the reduced system R(theta) beta = u
+    (counted in ``fallbacks``).  That is the full system's minimum-norm
+    solution: for disordered endpoints q = I, and for uniform ones P and w
+    commute with site permutations, so P q = q R, the range of P lies in
+    the orbit span, and so does the minimum-norm alpha, which is q beta.
 
     The propagator uses the ``reduced_*`` members only:
     H_CD = theta_dot * sum_B beta_B O_B with O_B = sum_a q_aB O_a, and
@@ -192,24 +194,24 @@ class AgpSolver:
 
         self._slots, self._weights = orbit_partition(params, basis)
         self._n_orbits = int(self._slots.max()) + 1
-        self._pq_stack = self._products(self._slots, self._weights, self._n_orbits)
+        self._pq_stack = self._products()
         # v_a = -Re Tr[dH0 C_a(theta)] and [H0(theta), dH0] = [H0(0), dH0]: one target
         self._w = -self._scale * _sparse_matmul(*self._tables[0], basis.size, d)[:, 0]
         self._tol = RESIDUAL_RTOL * (1.0 + np.linalg.norm(self._w))
         self._r = self._orbit_sums(self._pq_stack)
         self._u = self._orbit_sums(self._w[:, None])[:, 0]
 
-    def _products(self, slots, weights, n_orbits: int) -> np.ndarray:
-        """P_k q, shape (3, m, r), for the q of a partition, from b_k^T q in one bincount."""
-        m, n_pat = self.basis.size, self._n_patterns
-        b0q, b1q = (np.bincount(cols * n_orbits + slots[rows], vals * weights[rows],
-                                n_pat * n_orbits).reshape(n_pat, n_orbits)
+    def _products(self) -> np.ndarray:
+        """P_k q, shape (3, m, r), from b_k^T q in one bincount."""
+        m, n_pat, r = self.basis.size, self._n_patterns, self._n_orbits
+        b0q, b1q = (np.bincount(cols * r + self._slots[rows], vals * self._weights[rows],
+                                n_pat * r).reshape(n_pat, r)
                     for rows, cols, vals in self._tables)
 
         def b(k, mat):
             return _sparse_matmul(*self._tables[k], m, mat)
 
-        out = np.empty((3, m, n_orbits))
+        out = np.empty((3, m, r))
         out[0] = b(0, b0q)
         out[1] = b(0, b1q)
         out[1] += b(1, b0q)
@@ -256,12 +258,10 @@ class AgpSolver:
         return np.sqrt(np.vecdot(g, g))
 
     def _least_squares(self, theta: float) -> np.ndarray:
-        """Reduced minimum-norm least-squares solution of the full system at theta."""
-        m = self.basis.size
-        p_stack = self._products(np.arange(m), np.ones(m), m).reshape(3, -1)
-        gram = (_endpoint_weights(theta) @ p_stack).reshape(m, m)
-        alpha = np.linalg.lstsq(gram, self._w, rcond=LSTSQ_RCOND)[0]
-        return self._orbit_sums(alpha[:, None])[:, 0]
+        """Minimum-norm least-squares solution of the reduced system at theta."""
+        r = self._n_orbits
+        gram = (_endpoint_weights(theta) @ self._r.reshape(3, -1)).reshape(r, r)
+        return np.linalg.lstsq(gram, self._u, rcond=LSTSQ_RCOND)[0]
 
     def reduced_batch(self, thetas) -> np.ndarray:
         """Reduced solutions beta(theta) for a vector of theta, one row each."""

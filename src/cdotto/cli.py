@@ -181,13 +181,7 @@ def main(argv=None) -> int:
                              converge=False)
     else:
         options = RunOptions()
-    options_echo = {
-        "steps_per_unit_time": options.steps_per_unit_time,
-        "min_steps": options.min_steps,
-        "max_steps": options.max_steps,
-        "converge": options.converge,
-        "converge_tol": CONVERGE_TOL,
-    }
+    options_echo = {**asdict(options), "converge_tol": CONVERGE_TOL}
     digest = config_digest(blocks, options_echo)
     workers = args.workers or default_workers()
 

@@ -2,19 +2,19 @@
 
 Under the collective spin S = (1/2) sum_j sigma_j the 2^N-dimensional space
 splits into spin-S blocks, S = N/2 - k for k = 0..N//2, and the spin-S block
-occurs d_S = C(N, k) - C(N, k - 1) times.  When every copy carries the
+occurs d_S = C(N, k) - C(N, k - 1) times.  When every occurrence carries the
 standard basis |S, m>, an operator that commutes with all site permutations
-acts on each copy of a block by the same (2S+1) x (2S+1) matrix.  So one
-copy per block carries it: with W the 2^N x R isometry onto those copies,
+acts on each occurrence of a block by the same (2S+1) x (2S+1) matrix.  So
+one occurrence per block carries it: with W the 2^N x R isometry onto them,
 R = floor((N + 2)^2 / 4), and the multiplicities D as trace weights,
 Tr[rho X] = Tr[D (W^T rho W)(W^T X W)] for permutation-symmetric rho and X
 (Lipkin, Meshkov & Glick, Nucl. Phys. 62, 188 (1965); Shammah et al.,
-PRA 98, 063815 (2018)).
+PRA 98, 063815 (2018)).  A stroke that runs here keeps its state in the
+R x R space; nothing maps it back to 2^N.
 
-The copies are built without any 2^N x 2^N operator: for each k an
-orthonormal basis of the highest-weight space (ker S+ among the states with
-k down spins) gives the d_S copies of |S, S>, and S- ladders each copy down
-to |S, -S>.
+W is built without any 2^N x 2^N operator: for each k, the first vector of
+an orthonormal basis of the highest-weight space (ker S+ among the states
+with k down spins) is one |S, S>, and S- ladders it down to |S, -S>.
 """
 
 from __future__ import annotations
@@ -59,57 +59,38 @@ def _highest_weights(n: int, k: int) -> np.ndarray:
 
 
 class CollectiveBasis:
-    """One copy of each collective-spin block of N sites, and the way back.
+    """One occurrence of each collective-spin block of N sites.
 
-    ``copies`` is the orthogonal 2^N x 2^N matrix of all copies, block by
-    block (S descending), copy-major, m from S down to -S; ``w`` holds its
-    copy-0 columns (the 2^N x R isometry W) and ``weights`` the
-    multiplicity d_S of each of them.  Arrays are read-only.
+    ``w`` is the 2^N x R isometry W, its columns block by block (S
+    descending), m from S down to -S, and ``weights`` the multiplicity d_S
+    of each column.  Arrays are read-only.
     """
 
     def __init__(self, n_sites: int):
-        copies, w, weights, block, rep, copy_id = [], [], [], [], [], []
-        reduced = n_copies = 0
+        w, weights, block = [], [], []
         for k in range(n_sites // 2 + 1):
             spin = n_sites / 2.0 - k
             size = n_sites - 2 * k + 1
-            vecs = _highest_weights(n_sites, k)
+            highest = _highest_weights(n_sites, k)
+            vecs = highest[:, :1]
             ladder = [vecs]
             for step in range(1, size):
                 m = spin - step + 1  # the m being lowered
                 vecs = _lower(vecs, n_sites) / math.sqrt((spin + m) * (spin - m + 1))
                 ladder.append(vecs)
-            blk = np.stack(ladder, axis=2)  # (2^N, d_S, 2S+1)
-            d = blk.shape[1]
-            copies.append(blk.reshape(blk.shape[0], -1))
-            w.append(blk[:, 0, :])
-            weights.append(np.full(size, float(d)))
+            w.append(np.concatenate(ladder, axis=1))
+            weights.append(np.full(size, float(highest.shape[1])))
             block.append(np.full(size, k))
-            # the lift repeats each reduced block on every copy of it
-            rep.append(np.tile(np.arange(reduced, reduced + size), d))
-            copy_id.append(np.repeat(np.arange(n_copies, n_copies + d), size))
-            reduced += size
-            n_copies += d
-        self.copies = np.ascontiguousarray(np.concatenate(copies, axis=1))
         self.w = np.ascontiguousarray(np.concatenate(w, axis=1))
         self.weights = np.concatenate(weights)
         block = np.concatenate(block)
         self._mask = block[:, None] == block[None, :]
-        self._rep = np.concatenate(rep)
-        copy_id = np.concatenate(copy_id)
-        self._same_copy = copy_id[:, None] == copy_id[None, :]
-        for arr in (self.copies, self.w, self.weights, self._mask, self._rep,
-                    self._same_copy):
+        for arr in (self.w, self.weights, self._mask):
             arr.setflags(write=False)
 
     def project(self, mat: np.ndarray) -> np.ndarray:
         """Block-diagonal part of W^T mat W, for one matrix or a stack of them."""
         return (self.w.T @ mat @ self.w) * self._mask
-
-    def lift(self, reduced: np.ndarray) -> np.ndarray:
-        """The 2^N matrix that acts as each reduced block on every copy of it."""
-        expanded = np.where(self._same_copy, reduced[np.ix_(self._rep, self._rep)], 0.0)
-        return self.copies @ expanded @ self.copies.T
 
 
 @functools.lru_cache(maxsize=None)

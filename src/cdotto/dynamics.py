@@ -50,8 +50,8 @@ from .paulis import OperatorSum, to_dense
 #: Propagation refuses grids coarser than this many steps per stroke.
 MIN_STEPS = 100
 
-#: largest entry of |lift(project(rho0)) - rho0| that still counts rho0 as
-#: permutation-symmetric
+#: largest entry of |P rho P^T - rho|, over the swaps P of neighbouring
+#: sites, that still counts a start state rho as permutation-symmetric
 SYMMETRY_TOL = 1e-12
 
 #: bytes of per-step work arrays one chunk of a stroke may hold; a chunk
@@ -89,19 +89,41 @@ class _FullSpace:
     def project(mat: np.ndarray) -> np.ndarray:
         return mat
 
-    @staticmethod
-    def lift(mat: np.ndarray) -> np.ndarray:
-        return mat
-
 
 def _stroke_space(params: EndpointParams, *states: np.ndarray):
-    """One copy of each collective-spin block if the data allow it, else the full space."""
-    if params.is_uniform():
-        space = collective_basis(params.n_sites)
-        if all(np.abs(space.lift(space.project(rho)) - rho).max() <= SYMMETRY_TOL
-               for rho in states):
-            return space
-    return _FullSpace(2 ** params.n_sites)
+    """One occurrence of each collective-spin block if the data allow it, else the full space.
+
+    Each state must pass every swap of neighbouring sites, a transpose of its
+    (2,) * 2N axes; the swaps generate all site permutations (Schur-Weyl).
+    """
+    n = params.n_sites
+    tensors = [rho.reshape((2,) * (2 * n)) for rho in states]
+    if params.is_uniform() and all(
+            np.abs(t.swapaxes(j, j + 1).swapaxes(n + j, n + j + 1) - t).max() <= SYMMETRY_TOL
+            for t in tensors for j in range(n - 1)):
+        return collective_basis(n)
+    return _FullSpace(2 ** n)
+
+
+def check_state(m: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """Trace Tr[D m] and purity Tr[D m m] of a state m with trace weights D.
+
+    ``DomainError`` unless m is Hermitian to 1e-12, the trace is within
+    1e-10 of 1, no eigenvalue is below -1e-10 and the purity is in
+    (0, 1 + 1e-10]: the checks of the 2^N state that repeats each block of
+    a collective-space m d_S times (an orthogonal change of basis).
+    """
+    if np.abs(m - m.conj().T).max() > 1e-12:
+        raise DomainError("density matrix is not Hermitian to 1e-12")
+    trace = weights @ np.diagonal(m)
+    if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > 1e-10:
+        raise DomainError("density matrix trace differs from 1 by more than 1e-10")
+    if np.linalg.eigvalsh(m).min() < -1e-10:
+        raise DomainError("density matrix has an eigenvalue below -1e-10")
+    purity = float(np.vdot(m, weights[:, None] * m).real)
+    if not 0.0 < purity <= 1.0 + 1e-10:
+        raise DomainError(f"purity {purity} outside (0, 1]")
+    return float(trace.real), purity
 
 
 @dataclass(frozen=True)
@@ -116,22 +138,10 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise DimensionError(f"matrix shape {m.shape} does not match {self.n_sites} sites")
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise DomainError("density matrix is not Hermitian to 1e-12")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise DomainError("density matrix trace differs from 1 by more than 1e-10")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise DomainError("density matrix has an eigenvalue below -1e-10")
-        purity = float(np.vdot(m, m).real)
-        if not 0.0 < purity <= 1.0 + 1e-10:
-            raise DomainError(f"purity {purity} outside (0, 1]")
+        check_state(m, np.ones(dim))
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def purity(self) -> float:
-        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
@@ -174,6 +184,9 @@ class StrokeDiagnostics:
 class StrokeResult:
     """One isentropic stroke: final state, endpoint energies and work split.
 
+    ``final_state`` is the state as the stroke holds it, read-only: 2^N x
+    2^N in the full space, R x R in the collective one (``cdotto.collective``),
+    whose traces weight each block by its multiplicity.
     ``w_sta`` is the endpoint energy difference under the full driven
     Hamiltonian (the control term vanishes at both stroke ends), ``w_0``
     the trapezoid quadrature of Tr[rho dH0/dtheta] theta_dot on the step
@@ -181,7 +194,7 @@ class StrokeResult:
     is the time-reversed sweep when one was asked for (``propagate_stroke``).
     """
 
-    final_state: DensityMatrix
+    final_state: np.ndarray
     w_sta: float
     w_0: float
     w_cd: float
@@ -212,7 +225,8 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     assembly or ``eigh`` of its own (module docstring): its control norms
     are the forward ones reversed, and it reports no fallbacks or layer
     time, which stay with the forward result.
-    The generators and states are projected once onto the stroke's space.
+    The generators and states are projected once onto the stroke's space,
+    where ``check_state`` checks the final state and the start (the drifts).
     """
     starts = (rho0,) if reverse_from is None else (rho0, reverse_from)
     if any(rho.n_sites != params.n_sites for rho in starts):
@@ -296,12 +310,12 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         e_start, e_end = (_re_trace_product(x, d0w + th * ddw)
                           for x, th in zip((rho, end), thetas))
         w_0 = dt * _re_trace_product(rho, work)
-        lifted = space.lift(end)
-        final = DensityMatrix(n, lifted)
-        diag = StrokeDiagnostics(steps, abs(float(np.trace(lifted).real) - 1.0),
-                                 abs(final.purity - start.purity), hcd_times, hcd,
+        trace, purity = check_state(end, space.weights)
+        purity0 = check_state(rho, space.weights)[1]
+        end.setflags(write=False)
+        diag = StrokeDiagnostics(steps, abs(trace - 1.0), abs(purity - purity0), hcd_times, hcd,
                                  fallbacks, layers)
-        return StrokeResult(final, e_end - e_start, w_0, (e_end - e_start) - w_0, e_start, e_end,
+        return StrokeResult(end, e_end - e_start, w_0, (e_end - e_start) - w_0, e_start, e_end,
                             diag, reverse)
 
     reverse = None if reverse_from is None else result(

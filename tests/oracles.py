@@ -14,8 +14,11 @@ dense matrices, its own sweep profile and exponentials from scipy's
 work split, the reference for ``cdotto.dynamics.propagate_stroke``;
 ``MirroredSweep`` hands that function the time-reversed grid to step.
 ``lz_cop`` is the two-level closed form of the coefficient of performance.
+``symmetrized`` averages a state over every site permutation, the
+reference for the stroke's permutation-symmetry test.
 """
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -209,6 +212,21 @@ def exact_agp(h0, dh0):
     a_eig = np.zeros_like(dh)
     a_eig[safe] = 1.0j * dh[safe] / gaps[safe]
     return vecs @ a_eig @ vecs.conj().T
+
+
+def symmetrized(rho, n_sites):
+    """The average of P rho P^T over all N! site permutations P.
+
+    Each permutation reorders the N row and the N column axes of rho alike;
+    a state is permutation-symmetric when this leaves it unchanged.
+    """
+    n = n_sites
+    t = np.asarray(rho).reshape((2,) * (2 * n))
+    total = np.zeros_like(t)
+    perms = list(itertools.permutations(range(n)))
+    for perm in perms:
+        total += t.transpose(list(perm) + [n + j for j in perm])
+    return (total / len(perms)).reshape(rho.shape)
 
 
 def sweep_profile(t, tau):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cdotto.agp import AgpSolver, build_basis, orbit_partition
+from cdotto.agp import LSTSQ_RCOND, AgpSolver, build_basis, orbit_partition
 from cdotto.errors import DomainError
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
 from cdotto import paulis
@@ -345,6 +345,11 @@ def dense_control_term(basis, alpha, theta_dot):
 
 REDUCED_CASES = [("uniform", n) for n in range(1, 7)] + [("disordered", n) for n in range(1, 5)]
 
+#: every field and coupling changes sign across the sweep, so H0(1/2) = 0
+#: and the gram is the zero matrix there
+ZERO_GRAM = dict(h_i=0.0, b_i=0.5, j_i=0.1, h_f=0.0, b_f=-0.5, j_f=-0.1)
+FALLBACK_CASES = [(kind, n) for kind in ("uniform", "zero-gram") for n in range(1, 7)]
+
 
 class TestReducedCoordinates:
     @pytest.mark.parametrize("kind,n", REDUCED_CASES, ids=[f"{k}-N{n}" for k, n in REDUCED_CASES])
@@ -377,6 +382,34 @@ class TestReducedCoordinates:
                 dense = dense_control_term(basis, solver.coefficients(theta), 1.0)
                 np.testing.assert_allclose(dense, oracle, rtol=0, atol=1e-10)
             assert solver.fallbacks == 0
+
+    @pytest.mark.parametrize("kind,n", FALLBACK_CASES,
+                             ids=[f"{k}-N{n}" for k, n in FALLBACK_CASES])
+    def test_reduced_fallback_is_the_full_minimum_norm_solution(self, kind, n, monkeypatch):
+        # P and w commute with site permutations, so the minimum-norm alpha
+        # of the full m x m system is q beta, with beta that of the r x r one
+        params = EndpointParams.uniform(n, **(ZERO_GRAM if kind == "zero-gram" else {}))
+        lstsq, shapes = np.linalg.lstsq, set()
+
+        def recording_lstsq(a, b, rcond):
+            shapes.add(a.shape)
+            return lstsq(a, b, rcond=rcond)
+
+        for p in range(1, min(n, 4) + 1):
+            basis = build_basis(n, p)
+            solver = AgpSolver(params, basis)
+            ref = oracles.string_build(params, basis)
+            q = dense_q(solver._slots, solver._weights)
+            for theta in (0.0, 0.5, 0.85):
+                weights = ((1 - theta) ** 2, theta * (1 - theta), theta ** 2)
+                gram = sum(c * pk for c, pk in zip(weights, ref.p))
+                want = q.T @ lstsq(gram, ref.w[0], rcond=LSTSQ_RCOND)[0]
+                monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+                got = solver._least_squares(theta)
+                monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert shapes == {(q.shape[1], q.shape[1])}
+            shapes.clear()
 
     def test_gram_not_positive_definite_takes_counted_fallback(self):
         # every field and coupling changes sign across the sweep, so H0(1/2) = 0:

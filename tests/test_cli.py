@@ -92,6 +92,25 @@ class TestRun:
             else os.cpu_count()
         assert manifest["workers"] == default_workers() == expected
 
+    @pytest.mark.parametrize("rate,digest,options", [
+        (None, "2ca9002a864decae980bfafec635fbf0873184967fa8a7ea4f30608d97698346",
+         {"steps_per_unit_time": 2000.0, "min_steps": 1000, "max_steps": 20000,
+          "converge": True, "converge_tol": 1e-07}),
+        ("400", "7a910582b0eb8359c226abd17e102788dbc754184dfe615afa925a5655b3d11f",
+         {"steps_per_unit_time": 400.0, "min_steps": 1000, "max_steps": 20000,
+          "converge": False, "converge_tol": 1e-07}),
+    ], ids=["default", "fixed-rate"])
+    def test_config_digest_and_options_echo_are_pinned(self, tmp_path, rate, digest, options):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("N = 1\np = 0\ntau = 0.5\n")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg), "--out", str(out), "--workers", "1"]
+        assert run_cli(argv + (["--steps-per-unit-time", rate] if rate else [])) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_digest"] == digest
+        # equal as dicts and in field order
+        assert list(manifest["options"].items()) == list(options.items())
+
     def test_reruns_are_byte_identical(self, tmp_path, config_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -6,8 +6,8 @@ import pytest
 import oracles
 from cdotto import dynamics
 from cdotto.agp import AgpSolver, build_basis
-from cdotto.collective import collective_basis
-from cdotto.dynamics import MIN_STEPS, DensityMatrix, gibbs_state, propagate_stroke
+from cdotto.collective import CollectiveBasis, collective_basis
+from cdotto.dynamics import MIN_STEPS, DensityMatrix, check_state, gibbs_state, propagate_stroke
 from cdotto.errors import DimensionError, DomainError, NumericalError
 from cdotto.model import EndpointParams, SweepSpec, h0_at
 from cdotto.paulis import OperatorSum, to_dense
@@ -42,6 +42,24 @@ def _oracle_cases():
                        id="uniform-N7-p2-forward")
 
 
+def held(full, collective):
+    """A 2^N state as a stroke holds it: projected onto the collective space
+    when ``collective``, which then must hold it whole, else as it is."""
+    if not collective:
+        return full
+    n = full.shape[0].bit_length() - 1
+    assert np.abs(oracles.symmetrized(full, n) - full).max() <= 1e-12
+    return collective_basis(n).project(full)
+
+
+def full_state(reduced):
+    """The 2^N state of a collective-space one at N <= 2, where W is square
+    and every multiplicity is 1."""
+    basis = collective_basis(reduced.shape[0].bit_length() - 1)
+    assert basis.w.shape == reduced.shape and set(basis.weights) == {1.0}
+    return basis.w @ reduced @ basis.w.T
+
+
 def _rotated(rho, n, phi):
     """rho turned by exp(-i phi sum_j X_j / 2), the exponential taken through eigh."""
     x = oracles.dense_operator(n, {tuple("X" if k == j else "I" for k in range(n)): 0.5
@@ -65,9 +83,54 @@ class TestDensityMatrix:
         with pytest.raises(DomainError):
             DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
 
-    def test_purity_range(self):
-        rho = DensityMatrix(1, 0.5 * np.eye(2, dtype=complex))
-        assert rho.purity == pytest.approx(0.5)
+    def test_weighted_trace_and_purity(self):
+        assert check_state(0.5 * np.eye(2, dtype=complex), np.ones(2)) == (1.0, 0.5)
+        # one block of multiplicity 2 carrying half the trace, and one of 1
+        trace, purity = check_state(np.diag([0.25, 0.5]), np.array([2.0, 1.0]))
+        assert trace == 1.0 and purity == pytest.approx(2 * 0.25 ** 2 + 0.5 ** 2)
+        with pytest.raises(DomainError):
+            check_state(np.diag([0.5, 0.5]), np.array([2.0, 1.0]))
+
+
+class TestStrokeSpace:
+    """The permutation-symmetry test that lets a stroke run in the collective
+    space, against the average over all N! site permutations."""
+
+    @staticmethod
+    def cases(n):
+        params = EndpointParams.uniform(n)
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
+        noisy = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        hot = gibbs_state(h0_at(params, 1.0), 0.4).matrix
+        alternating = np.zeros((2 ** n, 2 ** n))
+        idx = int(("01" * n)[:n], 2)
+        alternating[idx, idx] = 1.0
+        yield "gibbs", gibbs_state(h0_at(params, 0.0), 0.2).matrix, True
+        yield "rotated", _rotated(hot, n, 0.7), True
+        yield "symmetrized-random", oracles.symmetrized(noisy, n), True
+        yield "alternating", alternating, False
+        yield "random", noisy, False
+        if n == 3:
+            # |001><001| is invariant under the swap (0 1) but not (1 2)
+            corner = np.zeros((8, 8))
+            corner[0b001, 0b001] = 1.0
+            yield "001", corner, False
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_symmetry_test_agrees_with_permutation_average(self, n):
+        params = EndpointParams.uniform(n)
+        gibbs = gibbs_state(h0_at(params, 0.0), 0.2).matrix
+        for name, rho, symmetric in self.cases(n):
+            oracle = np.abs(oracles.symmetrized(rho, n) - rho).max() <= dynamics.SYMMETRY_TOL
+            assert oracle == symmetric, name
+            # every state of the stroke must pass
+            for states in ((rho,), (gibbs, rho)):
+                space = dynamics._stroke_space(params, *states)
+                assert isinstance(space, CollectiveBasis) == symmetric, name
+        # site-dependent endpoints never run in the collective space
+        assert not isinstance(dynamics._stroke_space(disordered_params(n), gibbs),
+                              CollectiveBasis)
 
 
 class TestGibbs:
@@ -120,7 +183,7 @@ class TestPropagation:
     def test_constant_hamiltonian_is_a_no_op(self):
         rho = gibbs_state(h0_at(CONSTANT2, 0.0), 0.2)
         res = propagate_stroke(rho, CONSTANT2, SweepSpec(1.0), steps=500)
-        assert np.abs(res.final_state.matrix - rho.matrix).max() < 1e-12
+        assert np.abs(full_state(res.final_state) - rho.matrix).max() < 1e-12
         assert abs(res.w_sta) < 1e-12
         assert abs(res.w_0) < 1e-12
         assert abs(res.w_cd) < 1e-12
@@ -136,7 +199,7 @@ class TestPropagation:
                                cd=AgpSolver(PARAMS1, build_basis(1, 1)), steps=2000)
         pops_start = np.sort(np.linalg.eigvalsh(rho.matrix))
         w, v = np.linalg.eigh(to_dense(h0_at(PARAMS1, 1.0)))
-        pops_end = np.sort(np.diag(v.conj().T @ res.final_state.matrix @ v).real)
+        pops_end = np.sort(np.diag(v.conj().T @ full_state(res.final_state) @ v).real)
         np.testing.assert_allclose(pops_end, pops_start, atol=1e-6)
 
     def test_exact_control_splits_work_cleanly(self):
@@ -169,12 +232,14 @@ class TestPropagation:
             assert abs(coarse.w_0 - fine.w_0) <= 1e-7
 
     def test_tracked_state_stays_diagonal_in_energy_basis(self):
+        # in the collective space, where the stroke holds the state
         params = EndpointParams.uniform(3)
         rho = gibbs_state(h0_at(params, 0.0), 0.2)
         res = propagate_stroke(rho, params, SweepSpec(1.0),
                                cd=AgpSolver(params, build_basis(3, 3)), steps=2000)
-        w, v = np.linalg.eigh(to_dense(h0_at(params, 1.0)))
-        in_basis = v.conj().T @ res.final_state.matrix @ v
+        h_end = collective_basis(3).project(to_dense(h0_at(params, 1.0)).real)
+        w, v = np.linalg.eigh(h_end)
+        in_basis = v.conj().T @ res.final_state @ v
         distinct = np.abs(w[:, None] - w[None, :]) > 1e-9
         assert np.linalg.norm(in_basis[distinct]) <= 1e-6
 
@@ -185,9 +250,9 @@ class TestPropagation:
         rho = gibbs_state(h0_at(params, 0.0), 0.2)
         fwd = propagate_stroke(rho, params, SweepSpec(1.0), cd=solver, steps=1000)
         back = propagate_stroke(rho, params, SweepSpec(1.0), cd=solver, steps=1000,
-                                reverse_from=fwd.final_state).reverse
+                                reverse_from=DensityMatrix(2, full_state(fwd.final_state))).reverse
         pops0 = np.sort(np.linalg.eigvalsh(rho.matrix))
-        pops1 = np.sort(np.linalg.eigvalsh(back.final_state.matrix))
+        pops1 = np.sort(np.linalg.eigvalsh(back.final_state))
         np.testing.assert_allclose(pops1, pops0, atol=1e-8)
 
     @pytest.mark.parametrize("params,p,steps,reverse", _oracle_cases())
@@ -204,7 +269,7 @@ class TestPropagation:
         converged = steps >= 2000
         ref = oracles.dense_stroke(rho.matrix, params, 1.0, steps, reverse=reverse,
                                    solver=solvers[1], cd_work=converged)
-        assert np.abs(res.final_state.matrix - ref.final).max() <= 1e-10
+        assert np.abs(res.final_state - held(ref.final, params.is_uniform())).max() <= 1e-10
         assert res.e_end == pytest.approx(ref.e_end, abs=1e-10)
         assert res.w_0 == pytest.approx(ref.w_0, abs=1e-10)
         if converged:
@@ -226,7 +291,7 @@ class TestPropagation:
                                cd=solvers[0], steps=MIN_STEPS)
         ref = oracles.dense_stroke(rho, params, 1.0, MIN_STEPS, solver=solvers[1],
                                    cd_work=False)
-        assert np.abs(res.final_state.matrix - ref.final).max() <= 1e-10
+        assert np.abs(res.final_state - ref.final).max() <= 1e-10
         assert res.e_end == pytest.approx(ref.e_end, abs=1e-10)
         assert res.w_0 == pytest.approx(ref.w_0, abs=1e-10)
 
@@ -259,16 +324,38 @@ class TestPropagation:
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         assert chunk_sizes == [7] * (steps // 7) + [steps % 7]
 
-        assert np.abs(chunked.final_state.matrix - whole.final_state.matrix).max() <= 1e-12
+        assert np.abs(chunked.final_state - whole.final_state).max() <= 1e-12
         for name in ("e_end", "w_0", "w_cd"):
             assert getattr(chunked, name) == pytest.approx(getattr(whole, name), abs=1e-12)
         np.testing.assert_allclose(chunked.diagnostics.hcd_norm_sq,
                                    whole.diagnostics.hcd_norm_sq, rtol=0, atol=1e-12)
         ref = oracles.dense_stroke(rho.matrix, params, 1.0, steps, solver=solvers[2],
                                    cd_work=False)
-        assert np.abs(chunked.final_state.matrix - ref.final).max() <= 1e-10
+        assert np.abs(chunked.final_state - held(ref.final, kind == "uniform")).max() <= 1e-10
         assert chunked.e_end == pytest.approx(ref.e_end, abs=1e-10)
         assert chunked.w_0 == pytest.approx(ref.w_0, abs=1e-10)
+
+    @pytest.mark.parametrize("params,dim", [(EndpointParams.uniform(3), 6),
+                                            (disordered_params(3), 8)],
+                             ids=["collective", "full"])
+    def test_final_state_check_fires_in_the_stroke_space(self, params, dim, monkeypatch):
+        # eigenvectors stretched by 1.01 make every step unitary 1.0201 times
+        # too long, so the final state's trace is far from 1
+        rho = gibbs_state(h0_at(params, 0.0), 0.2)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def stretching_eigh(h):
+            energies, vecs = eigh(h)
+            if h.ndim == 3:  # the stroke's stacked calls
+                sizes.append(h.shape[-1])
+                vecs = vecs * 1.01
+            return energies, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", stretching_eigh)
+        with pytest.raises(DomainError, match="trace"):
+            propagate_stroke(rho, params, SweepSpec(1.0), steps=MIN_STEPS)
+        assert set(sizes) == {dim}
 
     def test_non_finite_state_names_first_bad_step(self, monkeypatch):
         # chunks of 7 steps; the eigenvectors of the fifth step of the third
@@ -319,8 +406,11 @@ class TestPropagation:
         own = propagate_stroke(rho_c, params, oracles.MirroredSweep(1.0), cd=solvers[1],
                                steps=steps)
         assert forward.reverse is None and own.reverse is None
+        collective = params.is_uniform() and start != "product"
         for got, want in ((fused, forward), (fused.reverse, own)):
-            assert np.abs(got.final_state.matrix - want.final_state.matrix).max() <= 1e-12
+            # the forward call alone stays in the collective space
+            got_state = held(got.final_state, got.final_state.shape != want.final_state.shape)
+            assert np.abs(got_state - want.final_state).max() <= 1e-12
             for name in ("e_start", "e_end", "w_0", "w_cd"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
             for name in ("trace_drift", "purity_drift"):
@@ -334,7 +424,7 @@ class TestPropagation:
 
         ref = oracles.dense_stroke(rho_c.matrix, params, 1.0, steps, reverse=True,
                                    solver=solvers[1], cd_work=False)
-        assert np.abs(fused.reverse.final_state.matrix - ref.final).max() <= 1e-10
+        assert np.abs(fused.reverse.final_state - held(ref.final, collective)).max() <= 1e-10
         assert fused.reverse.e_end == pytest.approx(ref.e_end, abs=1e-10)
         assert fused.reverse.w_0 == pytest.approx(ref.w_0, abs=1e-10)
 
