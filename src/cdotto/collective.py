@@ -12,9 +12,11 @@ Tr[rho X] = Tr[D (W^T rho W)(W^T X W)] for permutation-symmetric rho and X
 PRA 98, 063815 (2018)).  A stroke that runs here keeps its state in the
 R x R space; nothing maps it back to 2^N.
 
-W is built without any 2^N x 2^N operator: for each k, the first vector of
-an orthonormal basis of the highest-weight space (ker S+ among the states
-with k down spins) is one |S, S>, and S- ladders it down to |S, -S>.
+The occurrence is written down, with no operator built: block k is
+s^{(x)k} (x) D_{N-2k}, singlets s = (|01> - |10>)/sqrt(2) on the site pairs
+(0, 1), ..., (2k-2, 2k-1) times the Dicke states of the other N - 2k sites.
+A singlet has spin 0, so S+-, S_z act on the Dicke factor alone, where
+S- has positive matrix elements: the columns are the standard |S, m>.
 """
 
 from __future__ import annotations
@@ -25,37 +27,11 @@ import math
 import numpy as np
 
 
-def _lower(cols: np.ndarray, n: int) -> np.ndarray:
-    """S- = sum_j sigma-_j applied to each column; site 0 is the leading bit, 0 is up."""
-    t = cols.reshape((2,) * n + (-1,))
-    out = np.zeros_like(t)
-    for j in range(n):
-        up = (slice(None),) * j + (0,)
-        down = (slice(None),) * j + (1,)
-        out[down] += t[up]
-    return out.reshape(cols.shape)
-
-
-def _highest_weights(n: int, k: int) -> np.ndarray:
-    """Orthonormal columns spanning ker S+ among the states with k down spins."""
-    dim = 2 ** n
-    popcount = np.bitwise_count(np.arange(dim))
-    sector = np.flatnonzero(popcount == k)
-    above = {s: row for row, s in enumerate(np.flatnonzero(popcount == k - 1))}
-    # S+ from sector k to sector k - 1 flips one down spin up
-    raise_op = np.zeros((len(above), len(sector)))
-    for col, s in enumerate(sector):
-        for j in range(n):
-            bit = 1 << j
-            if s & bit:
-                raise_op[above[s ^ bit], col] = 1.0
-    # S- S+ is S(S+1) - m(m+1) >= 2(m+1) on the sector outside ker S+, so the
-    # kernel is its d_S lowest eigenvectors
-    d = len(sector) - len(above)
-    vecs = np.linalg.eigh(raise_op.T @ raise_op)[1][:, :d]
-    out = np.zeros((dim, d))
-    out[sector] = vecs
-    return out
+def _dicke(n: int) -> np.ndarray:
+    """Dicke states of n sites, 2^n x (n + 1): column j has j down spins (0 is up)."""
+    downs = np.bitwise_count(np.arange(2 ** n))
+    states = (downs[:, None] == np.arange(n + 1)).astype(float)
+    return states / np.sqrt(states.sum(axis=0))
 
 
 class CollectiveBasis:
@@ -68,19 +44,15 @@ class CollectiveBasis:
 
     def __init__(self, n_sites: int):
         w, weights, block = [], [], []
+        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        singlets = np.ones(1)
         for k in range(n_sites // 2 + 1):
-            spin = n_sites / 2.0 - k
             size = n_sites - 2 * k + 1
-            highest = _highest_weights(n_sites, k)
-            vecs = highest[:, :1]
-            ladder = [vecs]
-            for step in range(1, size):
-                m = spin - step + 1  # the m being lowered
-                vecs = _lower(vecs, n_sites) / math.sqrt((spin + m) * (spin - m + 1))
-                ladder.append(vecs)
-            w.append(np.concatenate(ladder, axis=1))
-            weights.append(np.full(size, float(highest.shape[1])))
+            w.append(np.kron(singlets[:, None], _dicke(n_sites - 2 * k)))
+            d = math.comb(n_sites, k) - (math.comb(n_sites, k - 1) if k else 0)
+            weights.append(np.full(size, float(d)))
             block.append(np.full(size, k))
+            singlets = np.kron(singlets, singlet)
         self.w = np.ascontiguousarray(np.concatenate(w, axis=1))
         self.weights = np.concatenate(weights)
         block = np.concatenate(block)

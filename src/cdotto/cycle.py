@@ -149,7 +149,9 @@ def adiabatic_reference(cfg: CycleConfig) -> AdiabaticReference:
     Gibbs populations are carried along the sorted eigenvalue order of the
     endpoint Hamiltonians (no level crossings assumed); ``gap_flag`` reports
     endpoint spectral gaps below 1e-9, where the transport order is
-    ambiguous but the energies are not.
+    ambiguous but the energies are not.  Site-independent parameters with
+    N >= 2 have exact permutation degeneracies, so the flag is set at every
+    such point and informs site-dependent runs only.
     """
     e_cold = np.linalg.eigvalsh(to_dense(h0_at(cfg.params, 0.0)))
     e_hot = np.linalg.eigvalsh(to_dense(h0_at(cfg.params, 1.0)))

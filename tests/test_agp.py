@@ -9,7 +9,6 @@ import oracles
 from cdotto.agp import LSTSQ_RCOND, AgpSolver, build_basis, orbit_partition
 from cdotto.errors import DomainError
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
-from cdotto import paulis
 from cdotto.paulis import OperatorSum, commutator
 from oracles import exact_agp, solve_agp
 
@@ -309,16 +308,6 @@ class TestMaskBuild:
         for a, b in zip(*np.nonzero(q)):
             want[b] += q[a, b] * oracles.dense_pauli(basis.strings[a]).imag
         np.testing.assert_array_equal(solver.reduced_stack, want)
-
-    @pytest.mark.parametrize("kind", ["uniform", "disordered"])
-    def test_stack_does_not_depend_on_scatter_chunk(self, kind, monkeypatch):
-        # uniform orbits interleave in string order, so one slot per chunk
-        # regroups the strings; every entry must still sum them in order
-        basis = build_basis(5, 4)
-        whole = AgpSolver(endpoint_params(kind, 5), basis).reduced_stack
-        monkeypatch.setattr(paulis, "SCATTER_CHUNK", 1)
-        chunked = AgpSolver(endpoint_params(kind, 5), basis).reduced_stack
-        np.testing.assert_array_equal(chunked, whole)
 
     def test_uniform_n8_builds_and_solves(self):
         # 3,648 strings in 13 orbits; the full normal-equation residual is

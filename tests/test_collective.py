@@ -1,4 +1,4 @@
-"""The collective-spin basis against dense operators, for N = 1..8."""
+"""The collective-spin basis against dense operators, for N = 1..8 (1..12 where cheap)."""
 
 import functools
 import math
@@ -10,7 +10,7 @@ from cdotto.agp import AgpSolver, build_basis
 from cdotto.collective import collective_basis
 from cdotto.dynamics import check_state, gibbs_state
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
-from cdotto.paulis import to_dense
+from cdotto.paulis import OperatorSum, to_dense
 
 SIZES = list(range(1, 9))
 
@@ -26,13 +26,13 @@ def symmetric_operators(n):
     return ops
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", range(1, 13))
 def test_w_has_orthonormal_columns(n):
     basis = collective_basis(n)
     assert np.abs(basis.w.T @ basis.w - np.eye(basis.w.shape[1])).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", range(1, 13))
 def test_block_sizes_and_multiplicities(n):
     basis = collective_basis(n)
     assert basis.w.shape == (2 ** n, (n + 2) ** 2 // 4)
@@ -42,6 +42,30 @@ def test_block_sizes_and_multiplicities(n):
         expected += [d] * (n - 2 * k + 1)  # d_S copies of 2S + 1 states
     np.testing.assert_array_equal(basis.weights, expected)
     assert basis.weights.sum() == 2 ** n
+
+
+def collective_sum(n, letter):
+    """Dense sum_j sigma^letter_j, twice the collective spin component."""
+    return to_dense(OperatorSum(n, {"I" * j + letter + "I" * (n - j - 1): 1.0
+                                    for j in range(n)})).real
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_columns_are_the_standard_basis(n):
+    # block by block, m runs from S down to -S, and the standard basis has
+    # <S, m-1|S_x|S, m> = sqrt(S(S+1) - m(m-1)) / 2 > 0
+    m, s_x = [], np.zeros(((n + 2) ** 2 // 4,) * 2)
+    for k in range(n // 2 + 1):
+        spin = n / 2 - k
+        start = len(m)
+        m += [spin - i for i in range(n - 2 * k + 1)]
+        for i in range(start, len(m) - 1):
+            s_x[i, i + 1] = s_x[i + 1, i] = 0.5 * math.sqrt(spin * (spin + 1) - m[i] * (m[i] - 1))
+    w = collective_basis(n).w
+    sum_x = collective_sum(n, "X")
+    assert np.abs(w.T @ collective_sum(n, "Z") @ w - 2 * np.diag(m)).max() <= 1e-12
+    assert np.abs(w.T @ sum_x @ w - 2 * s_x).max() <= 1e-12
+    assert np.abs(sum_x @ w - w @ (w.T @ sum_x @ w)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", SIZES)
