@@ -15,7 +15,12 @@ with C_a = i [O_a, H0(theta)] (Sels & Polkovnikov, PNAS 114, E3909 (2017)).
 ``AgpSolver`` precomputes the theta-dependence (H0 is affine in theta, so
 gram is quadratic in theta and v constant: [H0(theta), dH0/dtheta] is
 [H0(0), dH0/dtheta]) and solves a whole vector of theta at once, one
-chunk of a stroke grid per call, and keeps none of the solutions.
+chunk of a stroke grid per call, and keeps none of the solutions.  As the
+gram is quadratic in theta, beta(theta) is a rational function whose 2r
+poles are the eigenvalues of one 2r x 2r companion matrix (Tisseur &
+Meerbergen, SIAM Rev. 43, 235 (2001)): one eigendecomposition per solver
+then gives each theta's solution at O(r^2), the same solution rather than
+an approximation.
 The commutators of all strings come from one vectorized pass over
 their binary (x, z) masks (``cdotto.paulis.i_commutator_table``), as a
 sparse table of string, pattern and coefficient.  The solver works in
@@ -32,6 +37,7 @@ system and the spectral gauge potential as references
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,26 +150,36 @@ class AgpSolver:
     dense b matrix is held, and no m x m matrix unless r = m, when
     q^T P_k q is P_k q, u is w, and each is held once.
 
-    One path solves every theta: ``reduced_batch`` takes a vector of theta
-    and stacks their reduced systems (q^T P q) beta = q^T w, which must
-    pass one stacked Cholesky factorization and are then solved by one
-    stacked ``np.linalg.solve``; each solution is checked against the full
-    normal equations, g = P(theta) q beta - w, with the residuals of all
-    of them taken as one stacked product with the P_k q.  If the stacked
-    factorization fails, each theta goes through the same path on its own.
-    A single theta whose factorization or check fails falls back to
-    minimum-norm least squares on the reduced system R(theta) beta = u
-    (counted in ``fallbacks``).  That is the full system's minimum-norm
-    solution: for disordered endpoints q = I, and for uniform ones P and w
-    commute with site permutations, so P q = q R, the range of P lies in
-    the orbit span, and so does the minimum-norm alpha, which is q beta.
+    ``reduced_batch`` solves the reduced systems R(theta) beta = u, with
+    R(theta) = q^T P(theta) q and u = q^T w, for a vector of theta.  Its
+    first rung is a spectral factorization of the pencil, built once on
+    first use (or by ``factorize``, which ``cycle.run_cycle`` calls before
+    the dense states): with t = theta - 1/2,
+    R(theta) = Gc + t G1 + t^2 K2, and one ``eig`` of a companion matrix
+    gives R(theta)^-1 = V_top (I + t Lambda)^-1 Y in real factors
+    (``_pencil_factors``).  Each theta costs a few products with r x 2r
+    factors and two refinements against the residual R(theta) beta - u,
+    formed row by row, so a theta's solution does not depend on its batch.
+    Every solution is checked against the full normal equations,
+    g = P(theta) q beta - w, the residuals of all of them one stacked
+    product with the P_k q.  A theta that fails the check, or every theta
+    when no factorization could be built (Gc = R(1/2) not positive
+    definite, as at endpoints with a zero gram there), takes the direct
+    path on its own (``_direct``, counted in ``direct_solves``): a
+    Cholesky gate, ``np.linalg.solve`` and the same check.  Where that
+    fails too, it falls back to minimum-norm least squares on the reduced
+    system (counted in ``fallbacks``).  That is the full system's
+    minimum-norm solution: for disordered endpoints q = I, and for uniform
+    ones P and w commute with site permutations, so P q = q R, the range of
+    P lies in the orbit span, and so does the minimum-norm alpha, which is
+    q beta.
 
     The propagator uses the ``reduced_*`` members only:
     H_CD = theta_dot * sum_B beta_B O_B with O_B = sum_a q_aB O_a, and
-    ||alpha|| = ||beta||.  The solver holds no per-theta state; only
-    ``fallbacks`` and the lazily built ``reduced_stack`` change after
-    build, without a lock: a solver is not meant to be shared between
-    threads (each sweep worker process builds its own).
+    ||alpha|| = ||beta||.  The solver holds no per-theta state; only the
+    counters, the factorization and the lazily built ``reduced_stack``
+    change after build, without a lock: a solver is not meant to be shared
+    between threads (each sweep worker process builds its own).
     """
 
     def __init__(self, params: EndpointParams, basis: AnsatzBasis):
@@ -172,6 +188,9 @@ class AgpSolver:
         self.params = params
         self.basis = basis
         self.fallbacks = 0
+        self.direct_solves = 0
+        self.factor_s = None
+        self._pencil = None
         self._stack = None
 
         n = params.n_sites
@@ -257,6 +276,124 @@ class AgpSolver:
         g = np.einsum("...k,k...m->...m", _endpoint_weights(thetas), pq_beta) - self._w
         return np.sqrt(np.vecdot(g, g))
 
+    def _passes(self, thetas, betas) -> np.ndarray:
+        """Whether each solution is finite and passes the full normal-equation check."""
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite beta fails anyway
+            return np.isfinite(betas).all(axis=-1) & (self._normal_residual(thetas, betas)
+                                                      <= self._tol)
+
+    def factorize(self) -> None:
+        """Build the spectral factorization of the reduced gram pencil, once per solver.
+
+        ``factor_s`` records the build's wall time.  A build that fails
+        (``_pencil_factors`` raises ``LinAlgError``) leaves no factorization,
+        and every theta then takes the direct path.
+        """
+        if self.factor_s is not None:
+            return
+        t0 = time.perf_counter()
+        try:
+            self._pencil = self._pencil_factors()
+        except np.linalg.LinAlgError:
+            self._pencil = None
+        self.factor_s = time.perf_counter() - t0
+
+    def _pencil_factors(self):
+        """Real factors of R(theta)^-1 = V_top (I + t Lambda)^-1 Y, t = theta - 1/2.
+
+        R(theta) = Gc + t G1 + t^2 K2 = Gc (I + t A + t^2 B), and the top
+        left r x r block of (I + t C)^-1, C = [[A, B], [-I, 0]], is
+        (I + t A + t^2 B)^-1.  One ``eig`` of C gives C = V Lambda V^-1.
+        Each complex pair a +- ib, v = p +- iq becomes the columns (p, q)
+        and the block [[a, b], [-b, a]] of a real Lambda, so V_top (r x 2r)
+        and Y = (V^-1)[:, :r] Gc^-1 (2r x r) are real.  Returns V_top^T,
+        Y^T, Y u, the diagonal a of Lambda, its off-diagonal coupling c (-b,
+        +b within a pair, 0 for a real eigenvalue) and each column's
+        partner.  Raises ``LinAlgError`` when Gc is not positive definite,
+        an eigenvalue is left unpaired or a factor is not finite.
+        """
+        r = self._n_orbits
+        r0, r1, r2 = self._r
+        gc = 0.25 * (r0 + r1 + r2)
+        np.linalg.cholesky(gc)  # a singular Gc (a zero gram at theta = 1/2) has no factors
+        comp = np.zeros((2 * r, 2 * r))
+        comp[:r, :r] = r2 - r0
+        comp[:r, r:] = r0 - r1 + r2
+        comp[:r] = np.linalg.solve(gc, comp[:r])
+        comp[r:, :r] = -np.eye(r)
+        mu, vecs = np.linalg.eig(comp)
+        # each 2r x 2r array goes as soon as it is used: the build's transient
+        # sets the peak RSS of a disordered point
+        del comp
+        # LAPACK returns each complex pair as neighbours, positive imaginary part first
+        first = np.flatnonzero(mu.imag > 0)
+        second = first + 1
+        if (2 * len(first) != np.count_nonzero(mu.imag) or second.max(initial=0) >= 2 * r
+                or np.any(mu[second] != mu[first].conj())):
+            raise np.linalg.LinAlgError("eigenvalues of the gram pencil left unpaired")
+        partner = np.arange(2 * r)
+        partner[first], partner[second] = second, first
+        coupling = np.zeros(2 * r)
+        coupling[first], coupling[second] = -mu[first].imag, mu[first].imag
+        v = vecs.real.copy()
+        v[:, second] = vecs[:, first].imag
+        del vecs
+        x = np.linalg.solve(v, np.eye(2 * r, r))  # (V^-1)[:, :r]
+        vt = np.ascontiguousarray(v[:r].T)
+        del v
+        yt = np.linalg.solve(gc, x.T)  # Y^T = Gc^-1 X^T, as Gc is symmetric
+        yu, a = self._u @ yt, mu.real.copy()
+        if not all(np.isfinite(f).all() for f in (vt, yt, yu, a, coupling)):
+            raise np.linalg.LinAlgError("non-finite factors of the gram pencil")
+        return vt, yt, yu, a, coupling, partner
+
+    def _spectral_batch(self, thetas: np.ndarray) -> np.ndarray:
+        """Spectral solutions, refined twice against the reduced residual R(theta) beta - u.
+
+        Near a pole of beta(theta) the unrefined solution is off by up to
+        about 5e-5 (relative), and one refinement leaves about its square;
+        the second brings it to the rounding floor of the residual, at
+        which the direct solve also stops (disordered N = 4, p = 4).
+        Each theta's products are formed on its own row as stacked
+        vector-matrix products, so its solution does not depend on the
+        batch it arrives in.
+        """
+        vt, yt, yu, a, coupling, partner = self._pencil
+        t = thetas[:, None] - 0.5
+        diag, off = 1.0 + t * a, t * coupling
+        # the 2 x 2 blocks [[d, o], [-o, d]] of I + t Lambda inverted in closed form
+        den = diag * diag + off * off
+        diag, off = diag / den, off / den
+
+        def apply(z):
+            """V_top (I + t Lambda)^-1 z on each row."""
+            return ((diag * z + off * z[..., partner])[:, None, :] @ vt)[:, 0]
+
+        e = _endpoint_weights(thetas)[:, None, :]
+        beta = apply(yu)
+        for _ in range(2):
+            rk = (beta[:, None, None, :] @ self._r.transpose(0, 2, 1))[:, :, 0]
+            res = (e @ rk)[:, 0] - self._u
+            beta = beta - apply((res[:, None, :] @ yt)[:, 0])
+        return beta
+
+    def _direct(self, theta: float) -> np.ndarray:
+        """The reduced system at one theta: a checked Cholesky-gated solve, else least squares."""
+        self.direct_solves += 1
+        r = self._n_orbits
+        gram = (_endpoint_weights(theta) @ self._r.reshape(3, -1)).reshape(r, r)
+        try:
+            # positive-definiteness gate; numpy has no triangular solve that
+            # could reuse the factors, so the solve factors again
+            np.linalg.cholesky(gram)
+            beta = np.linalg.solve(gram, self._u)
+            if self._passes(theta, beta):
+                return beta
+        except np.linalg.LinAlgError:
+            pass
+        self.fallbacks += 1
+        return self._least_squares(theta)
+
     def _least_squares(self, theta: float) -> np.ndarray:
         """Minimum-norm least-squares solution of the reduced system at theta."""
         r = self._n_orbits
@@ -264,25 +401,22 @@ class AgpSolver:
         return np.linalg.lstsq(gram, self._u, rcond=LSTSQ_RCOND)[0]
 
     def reduced_batch(self, thetas) -> np.ndarray:
-        """Reduced solutions beta(theta) for a vector of theta, one row each."""
+        """Reduced solutions beta(theta) for a vector of theta, one row each.
+
+        Spectral solutions first; a theta whose solution fails the full
+        normal-equation check, or every theta when the solver has no
+        factorization, takes the direct path on its own.
+        """
         thetas = np.asarray(thetas, dtype=float).ravel()
-        r = self._n_orbits
-        gram = (_endpoint_weights(thetas) @ self._r.reshape(3, -1)).reshape(-1, r, r)
-        try:
-            # positive-definiteness gate; numpy has no triangular solve that
-            # could reuse the factors, so the solve factors again
-            np.linalg.cholesky(gram)
-            beta = np.linalg.solve(gram, self._u)
-        except np.linalg.LinAlgError:
-            if len(thetas) > 1:
-                return np.concatenate([self.reduced_batch(thetas[k:k + 1])
-                                       for k in range(len(thetas))])
-            beta = np.full((1, r), np.nan)
-        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite beta fails anyway
-            ok = np.isfinite(beta).all(axis=1) & (self._normal_residual(thetas, beta) <= self._tol)
+        self.factorize()
+        if self._pencil is None:
+            beta, ok = np.empty((len(thetas), self._n_orbits)), np.zeros(len(thetas), bool)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                beta = self._spectral_batch(thetas)
+            ok = self._passes(thetas, beta)
         for k in np.flatnonzero(~ok):
-            beta[k] = self._least_squares(thetas[k])
-            self.fallbacks += 1
+            beta[k] = self._direct(thetas[k])
         return beta
 
     def coefficients(self, theta: float) -> np.ndarray:

@@ -20,9 +20,9 @@ import numpy as np
 
 from .agp import AgpSolver, build_basis
 from .dynamics import LAYERS, MIN_STEPS, boltzmann_weights, gibbs_state, propagate_stroke
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .model import EndpointParams, SweepSpec, h0_at
-from .paulis import to_dense
+from .paulis import DENSE_SITE_CAP, to_dense
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,10 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     step count, a pass makes one call; otherwise it makes two.  The
     report's ``diagnostics`` carry the point's wall time, its split over
     the stroke layers (``dynamics.LAYERS``, summed over every call of every
-    pass), the AGP fallbacks of the final pass's calls and, per
-    step-doubling pass, the pumped heat and the steps of both strokes.
+    pass), the AGP fallbacks and direct solves of the final pass's calls,
+    the wall time of the solver's spectral factorization (built once, before
+    the dense states) and, per step-doubling pass, the pumped heat and the
+    steps of both strokes.
     With ``converge`` (see ``RunOptions`` for the pass schedule) they also
     carry ``qc_error``, |Qc change| / 3 over the last two passes: the
     second-order Richardson estimate of the reported ``Qc``'s error.  It is
@@ -197,13 +199,17 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     t0 = time.perf_counter()
     opt = options or RunOptions()
     n = cfg.n_sites
-    # the dense states raise CapacityError above the site cap before the
-    # solver is built
+    if n > DENSE_SITE_CAP:
+        raise CapacityError(f"dense states of {n} sites exceed the cap of {DENSE_SITE_CAP}")
+    p_eff = cfg.effective_p
+    solver = AgpSolver(cfg.params, build_basis(n, p_eff)) if p_eff >= 1 else None
+    if solver is not None:
+        # factored before the dense states: the eigensolve's work arrays are
+        # freed before the states' own LAPACK calls, which keeps peak RSS lower
+        solver.factorize()
     ref = adiabatic_reference(cfg)
     rho_a = gibbs_state(h0_at(cfg.params, 0.0), cfg.Tc)
     rho_c = gibbs_state(h0_at(cfg.params, 1.0), cfg.Th)
-    p_eff = cfg.effective_p
-    solver = AgpSolver(cfg.params, build_basis(n, p_eff)) if p_eff >= 1 else None
 
     layer_s = dict.fromkeys(LAYERS, 0.0)
 
@@ -252,6 +258,8 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
         "trace_drift": max(s1.diagnostics.trace_drift, s3.diagnostics.trace_drift),
         "purity_drift": max(s1.diagnostics.purity_drift, s3.diagnostics.purity_drift),
         "agp_fallbacks": sum(call.diagnostics.agp_fallbacks for call in calls),
+        "agp_direct": sum(call.diagnostics.agp_direct for call in calls),
+        "agp_factor_s": solver.factor_s if solver is not None else 0.0,
         "gap_flag": ref.gap_flag,
         "e_a": e_a, "e_b": e_b, "e_c": e_c, "e_d": e_d,
         "pass_qc": pass_qc,

@@ -28,10 +28,9 @@ one product with the stack of control operators assembles the K
 Hamiltonians, and one stacked ``eigh`` and one stacked product give the K
 step unitaries; only P <- U P runs step by step, and two products add the
 chunk's terms to M.  K is bounded in bytes, not in steps: the K steps'
-dense matrices, the solver's r x r systems and its m-long residual columns
-must fit in ``CHUNK_BYTES``, so small spaces take whole strokes in a few
-chunks while a large full-space solve runs one step per chunk, with the
-memory of a step-by-step loop.
+dense matrices and the solver's per-theta vectors must fit in
+``CHUNK_BYTES``, so small spaces take whole strokes in a few chunks and a
+disordered N = 5 stroke takes three steps per chunk.
 """
 
 from __future__ import annotations
@@ -69,10 +68,12 @@ def _step_bytes(dim: int, r: int, m: int) -> int:
 
     About seven complex and two real dim x dim matrices (the Hamiltonian
     and its parts, the eigenvectors, U, P and its product with dH0/dtheta),
-    four r x r matrices of the stacked solve (the systems, their factors and
-    temporaries) and four m-long residual columns.
+    four m-long residual columns and about eight 2r-long vectors of the
+    spectral solve.  No r x r matrix counts: the spectral solve forms none
+    per theta, and a theta it hands to the direct path is solved on its
+    own, so the one r x r system it holds does not grow with the chunk.
     """
-    return 8 * (16 * dim * dim + 4 * r * r + 4 * m)
+    return 8 * (16 * dim * dim + 4 * m + 16 * r)
 
 
 def _re_trace_product(rho: np.ndarray, mat: np.ndarray) -> float:
@@ -176,6 +177,8 @@ class StrokeDiagnostics:
     hcd_times: np.ndarray
     hcd_norm_sq: np.ndarray
     agp_fallbacks: int
+    #: theta values the solver's spectral solve handed to its direct path
+    agp_direct: int
     #: wall seconds spent in each of ``LAYERS``
     layer_s: dict
 
@@ -223,8 +226,8 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     Given ``reverse_from``, the result's ``reverse`` is the time-reversed
     sweep, theta from 1 to 0, started from that state.  It has no solve,
     assembly or ``eigh`` of its own (module docstring): its control norms
-    are the forward ones reversed, and it reports no fallbacks or layer
-    time, which stay with the forward result.
+    are the forward ones reversed, and it reports no fallbacks, direct solves
+    or layer time, which stay with the forward result.
     The generators and states are projected once onto the stroke's space,
     where ``check_state`` checks the final state and the start (the drifts).
     """
@@ -249,7 +252,12 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     # h0 coefficients are real, so both generators are real symmetric
     d0 = np.ascontiguousarray(space.project(to_dense(h0_at(params, 0.0)).real))
     dd = np.ascontiguousarray(space.project(to_dense(dh0_dtheta(params)).real))
-    fallbacks_before = solver.fallbacks if solver is not None else 0
+
+    def solver_counts():
+        """The solver's (fallbacks, direct solves) so far."""
+        return (solver.fallbacks, solver.direct_solves) if solver is not None else (0, 0)
+
+    counts_before = solver_counts()
     # the weights are constant on each block, so they commute with every
     # generator; traces are taken against the weighted ones
     d0w = space.weights[:, None] * d0
@@ -303,7 +311,7 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
 
     hcd_times = np.concatenate(([0.0], grid.t_mid, [sweep.duration]))
 
-    def result(start, v, work, thetas, hcd, fallbacks, layers, reverse=None):
+    def result(start, v, work, thetas, hcd, counts, layers, reverse=None):
         """The stroke from ``start`` with propagator ``v``; W_0 = dt Re Tr[rho0 work]."""
         rho = space.project(start.matrix)
         end = v @ rho @ v.conj().T
@@ -314,13 +322,13 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         purity0 = check_state(rho, space.weights)[1]
         end.setflags(write=False)
         diag = StrokeDiagnostics(steps, abs(trace - 1.0), abs(purity - purity0), hcd_times, hcd,
-                                 fallbacks, layers)
+                                 *counts, layers)
         return StrokeResult(end, e_end - e_start, w_0, (e_end - e_start) - w_0, e_start, e_end,
                             diag, reverse)
 
     reverse = None if reverse_from is None else result(
         reverse_from, prop.T, -(prop @ m_sum @ prop.conj().T).T, (grid.theta[-1], grid.theta[0]),
-        hcd_norm_sq[::-1], 0, dict.fromkeys(LAYERS, 0.0))
-    fallbacks = (solver.fallbacks - fallbacks_before) if solver is not None else 0
-    return result(rho0, prop, m_sum, (grid.theta[0], grid.theta[-1]), hcd_norm_sq, fallbacks,
+        hcd_norm_sq[::-1], (0, 0), dict.fromkeys(LAYERS, 0.0))
+    counts = tuple(after - before for after, before in zip(solver_counts(), counts_before))
+    return result(rho0, prop, m_sum, (grid.theta[0], grid.theta[-1]), hcd_norm_sq, counts,
                   layer_s, reverse)

@@ -217,20 +217,30 @@ def dense_strings(n_sites: int, x: np.ndarray, z: np.ndarray, weights: np.ndarra
     weights give a real (n_slots, 2^N, 2^N) array, complex weights a
     complex one.
 
-    The scatter runs one slot at a time, so its index, sign and value
-    arrays hold 2^N entries per string of that slot only.
+    A slot of one string sums nothing, so all such slots are placed in one
+    scatter, as 0.0 + value, which is what a sum from zero gives.  The
+    slots of several strings run one at a time.  Either way the index,
+    sign and value arrays hold 2^N entries per string placed, not 4^N.
     """
     dim = 1 << n_sites
     slot = np.zeros(len(x), dtype=np.int64) if slots is None else np.asarray(slots)
+    counts = np.bincount(slot, minlength=n_slots)
+    out = np.empty((n_slots, dim, dim), dtype=complex if np.iscomplexobj(weights) else float)
+    out[counts <= 1] = 0
+    j = np.arange(dim)
+
+    def scatter(pick):
+        """Flat indices within a block and values of the strings ``pick``, a row each."""
+        sign = 1 - 2 * (_popcount(j & z[pick, None]) & 1)
+        return (j ^ x[pick, None]) * dim + j, weights[pick, None] * sign
+
+    single = np.flatnonzero(counts[slot] == 1)
+    flat, vals = scatter(single)
+    out.reshape(n_slots, -1)[slot[single, None], flat] = 0.0 + vals
     order = np.argsort(slot, kind="stable")
     starts = np.searchsorted(slot[order], np.arange(n_slots + 1))
-    out = np.empty((n_slots, dim, dim), dtype=complex if np.iscomplexobj(weights) else float)
-    j = np.arange(dim)
-    for k in range(n_slots):
-        pick = order[starts[k]:starts[k + 1]]
-        sign = 1 - 2 * (_popcount(j & z[pick, None]) & 1)
-        flat = ((j ^ x[pick, None]) * dim + j).ravel()
-        vals = (weights[pick, None] * sign).ravel()
+    for k in np.flatnonzero(counts > 1):
+        flat, vals = (a.ravel() for a in scatter(order[starts[k]:starts[k + 1]]))
         block = out[k].reshape(-1)
         if np.iscomplexobj(vals):
             block.real = np.bincount(flat, vals.real, block.size)

@@ -307,7 +307,9 @@ class TestMaskBuild:
         want = np.zeros((q.shape[1], dim, dim))
         for a, b in zip(*np.nonzero(q)):
             want[b] += q[a, b] * oracles.dense_pauli(basis.strings[a]).imag
-        np.testing.assert_array_equal(solver.reduced_stack, want)
+        # bitwise, signed zeros too: a slot of one string is placed, not summed,
+        # and must read as the sum from zero does
+        assert solver.reduced_stack.tobytes() == want.tobytes()
 
     def test_uniform_n8_builds_and_solves(self):
         # 3,648 strings in 13 orbits; the full normal-equation residual is
@@ -338,6 +340,85 @@ REDUCED_CASES = [("uniform", n) for n in range(1, 7)] + [("disordered", n) for n
 #: and the gram is the zero matrix there
 ZERO_GRAM = dict(h_i=0.0, b_i=0.5, j_i=0.1, h_f=0.0, b_f=-0.5, j_f=-0.1)
 FALLBACK_CASES = [(kind, n) for kind in ("uniform", "zero-gram") for n in range(1, 7)]
+
+
+SPECTRAL_CASES = ([("uniform", n, p) for n in range(1, 7) for p in range(1, min(n, 4) + 1)]
+                  + [("disordered", n, p) for n in range(2, 6) for p in range(1, n + 1)])
+
+#: 64 theta over [0, 1], six of them within 1e-3 of an end
+SPECTRAL_THETAS = np.concatenate([[0.0, 5e-4, 1e-3], np.linspace(2e-3, 1 - 2e-3, 58),
+                                  [1 - 1e-3, 1 - 5e-4, 1.0]])
+
+
+class TestSpectralSolve:
+    """The solve from one eigendecomposition of the gram pencil against the direct path."""
+
+    @pytest.mark.parametrize("kind,n,p", SPECTRAL_CASES,
+                             ids=[f"{k}-N{n}-p{p}" for k, n, p in SPECTRAL_CASES])
+    def test_matches_the_direct_path(self, kind, n, p):
+        # within 1e-9 relative, or within the rounding floor 1e-16 kappa of a
+        # gram of condition number kappa where that is larger: near a pole of
+        # beta(theta) both solves sit at that floor (disordered N = 5, p = 5
+        # reaches kappa = 6e9 at theta = 0.788, where they differ by 2.5e-8)
+        params = endpoint_params(kind, n)
+        solver = AgpSolver(params, build_basis(n, p))
+        betas = solver.reduced_batch(SPECTRAL_THETAS)
+        assert solver._pencil is not None and solver.direct_solves == 0
+        direct = AgpSolver(params, build_basis(n, p))
+        for theta, beta in zip(SPECTRAL_THETAS, betas):
+            want = direct._direct(theta)
+            weights = ((1 - theta) ** 2, theta * (1 - theta), theta ** 2)
+            tol = max(1e-9, 1e-16 * np.linalg.cond(np.tensordot(weights, solver._r, 1)))
+            assert np.linalg.norm(beta - want) <= tol * np.linalg.norm(want), theta
+        assert direct.fallbacks == solver.fallbacks == 0
+
+    def test_factorized_once_and_not_at_build(self, monkeypatch):
+        eig, calls = np.linalg.eig, []
+
+        def counting_eig(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        solver = AgpSolver(disordered_params(3), build_basis(3, 2))
+        assert calls == [] and solver.factor_s is None
+        solver.reduced_batch([0.3])
+        solver.reduced_batch(SPECTRAL_THETAS)
+        solver.factorize()
+        assert calls == [(30, 30)] and solver.factor_s > 0
+
+    def test_failed_build_sends_every_theta_down_the_direct_path(self, monkeypatch):
+        def failing_factors(self):
+            raise np.linalg.LinAlgError("forced")
+
+        params, basis = disordered_params(4), build_basis(4, 3)
+        want = AgpSolver(params, basis)
+        want = [want._direct(theta) for theta in SPECTRAL_THETAS]
+        monkeypatch.setattr(AgpSolver, "_pencil_factors", failing_factors)
+        solver = AgpSolver(params, basis)
+        betas = solver.reduced_batch(SPECTRAL_THETAS)
+        assert solver._pencil is None and solver.factor_s is not None
+        assert solver.direct_solves == len(SPECTRAL_THETAS) and solver.fallbacks == 0
+        np.testing.assert_array_equal(betas, want)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zero_gram_builds_no_factorization(self, n, monkeypatch):
+        # the zero-gram solvers of FALLBACK_CASES: Gc = R(1/2) is the zero matrix
+        least_squares, thetas = AgpSolver._least_squares, []
+
+        def recording_least_squares(self, theta):
+            thetas.append(theta)
+            return least_squares(self, theta)
+
+        monkeypatch.setattr(AgpSolver, "_least_squares", recording_least_squares)
+        params = EndpointParams.uniform(n, **ZERO_GRAM)
+        for p in range(1, min(n, 4) + 1):
+            solver = AgpSolver(params, build_basis(n, p))
+            betas = solver.reduced_batch([0.3, 0.5])
+            assert solver._pencil is None and solver.direct_solves == 2
+            assert thetas == [0.5] and solver.fallbacks == 1
+            np.testing.assert_array_equal(betas[1], 0.0)
+            thetas.clear()
 
 
 class TestReducedCoordinates:

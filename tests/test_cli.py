@@ -61,7 +61,8 @@ class TestRun:
             assert pt["label"].startswith("N=")
             assert pt["pass_steps"] == [2000] and len(pt["pass_qc"]) == 1
             assert pt["qc_error"] is None
-            assert pt["wall_s"] > 0 and pt["agp_fallbacks"] == 0
+            assert pt["wall_s"] > 0 and pt["agp_fallbacks"] == pt["agp_direct"] == 0
+            assert pt["agp_factor_s"] >= 0.0
             assert pt["trace_drift"] <= 1e-10 and pt["purity_drift"] <= 1e-10
         progress = [line for line in capsys.readouterr().err.splitlines()
                     if line.startswith("[")]

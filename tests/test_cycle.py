@@ -69,6 +69,19 @@ class TestRunCycle:
         assert 0.0 < sum(diag["layer_s"].values()) <= diag["wall_s"]
         bare = run_cycle(uniform_cfg(2, 0), FAST).diagnostics
         assert bare["layer_s"]["solve_s"] < bare["wall_s"]
+        # the factorization is timed on its own, outside the stroke layers
+        assert diag["agp_direct"] == 0 and 0.0 < diag["agp_factor_s"] < diag["wall_s"]
+        assert bare["agp_direct"] == 0 and bare["agp_factor_s"] == 0.0
+
+    def test_without_a_factorization_every_theta_is_solved_directly(self):
+        # every field and coupling changes sign across the sweep, so the gram
+        # is zero at theta = 1/2 and the pencil has no factorization
+        params = EndpointParams.uniform(2, h_i=0.0, b_i=0.5, j_i=0.1,
+                                        h_f=0.0, b_f=-0.5, j_f=-0.1)
+        rep = run_cycle(CycleConfig(params, p=2), FAST)
+        # one call per pass solves the forward stroke's midpoints
+        assert rep.diagnostics["agp_direct"] == rep.steps // 2
+        assert rep.diagnostics["agp_fallbacks"] == 0
 
     @pytest.mark.parametrize("tau3", [1.0, 1.5])
     def test_reverse_stroke_takes_forward_solutions_when_grids_mirror(self, tau3, monkeypatch):

@@ -12,15 +12,18 @@ invocations in a fresh process with that tree first on PYTHONPATH:
   at seeds 1 and 2, under each workload's BLAS thread count;
 - ``--preset fig2`` to ``fig5`` at ``--steps-per-unit-time 100``.
 
-For each table it prints whether the two ``results.csv`` are byte-identical,
-then the largest |new - old| per column over all tables, with the table
-where it occurs.  Tables and configs go to a temporary directory that is
-removed at the end; nothing else is written.
+For each table it prints whether the two ``results.csv`` are byte-identical
+and how many cells lie beyond the pinned-table rule |new - old| <=
+1e-10 (1 + |old|) of ``tests/test_pinned_tables.py``; then, per column
+over all tables, the largest |new - old| with the table where it occurs
+and the largest relative |new - old| / |old|.  Tables and configs go to a
+temporary directory that is removed at the end; nothing else is written.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -61,21 +64,31 @@ def run_table(src: Path, out: Path, args: list, blas_threads) -> Path:
     return out / "results.csv"
 
 
-def column_deltas(old: Path, new: Path) -> dict:
-    """Largest |new - old| per column; a non-numeric cell that differs counts as inf."""
+#: a cell passes when |new - old| <= PINNED_RTOL (1 + |old|), as in the pinned tables
+PINNED_RTOL = 1e-10
+
+
+def cell_deltas(old: Path, new: Path):
+    """(column, |new - old|, |new - old| / |old|, within the pinned rule) for every cell.
+
+    A non-numeric cell that differs counts as inf; a zero old cell gives a
+    relative change of 0 if the new one is zero too, else inf.
+    """
     with open(old, newline="") as f_old, open(new, newline="") as f_new:
         rows_old, rows_new = list(csv.DictReader(f_old)), list(csv.DictReader(f_new))
     if len(rows_old) != len(rows_new):
         raise SystemExit(f"{new}: {len(rows_new)} rows against {len(rows_old)}")
-    deltas: dict = {}
     for a, b in zip(rows_old, rows_new):
         for col, x in a.items():
             try:
-                d = abs(float(b[col]) - float(x))
+                x_old, x_new = float(x), float(b[col])
             except ValueError:
-                d = 0.0 if b[col] == x else float("inf")
-            deltas[col] = max(deltas.get(col, 0.0), d)
-    return deltas
+                same = b[col] == x
+                yield col, 0.0 if same else math.inf, 0.0 if same else math.inf, same
+                continue
+            d = abs(x_new - x_old)
+            rel = d / abs(x_old) if x_old else (0.0 if d == 0 else math.inf)
+            yield col, d, rel, d <= PINNED_RTOL * (1 + abs(x_old))
 
 
 def main() -> int:
@@ -83,6 +96,7 @@ def main() -> int:
         sys.exit("usage: python tools/compare_runs.py OLD_SRC NEW_SRC")
     old_src, new_src = (Path(a).resolve() for a in sys.argv[1:])
     worst: dict = {}
+    worst_rel: dict = {}
     with tempfile.TemporaryDirectory(prefix="compare_runs-") as tmp:
         work = Path(tmp)
         for name, text, args, blas_threads in invocations():
@@ -93,13 +107,17 @@ def main() -> int:
             old, new = (run_table(src, work / tree / name, args, blas_threads)
                         for tree, src in (("old", old_src), ("new", new_src)))
             same = old.read_bytes() == new.read_bytes()
-            print(f"{name:22s} {'byte-identical' if same else 'differs'}", flush=True)
-            for col, d in column_deltas(old, new).items():
+            beyond = 0
+            for col, d, rel, within in cell_deltas(old, new):
+                beyond += not within
                 if d > worst.get(col, (-1.0, ""))[0]:
                     worst[col] = (d, name)
-    print("\nlargest |new - old| per column:")
+                worst_rel[col] = max(worst_rel.get(col, 0.0), rel)
+            print(f"{name:22s} {'byte-identical' if same else 'differs':14s} "
+                  f"{beyond} cells beyond {PINNED_RTOL:g} (1 + |x|)", flush=True)
+    print("\nlargest |new - old| and |new - old| / |old| per column:")
     for col, (d, name) in worst.items():
-        print(f"  {col:14s} {d:.3g}" + (f"  ({name})" if d > 0 else ""))
+        print(f"  {col:14s} {d:9.3g} {worst_rel[col]:9.3g}" + (f"  ({name})" if d > 0 else ""))
     return 0
 
 
