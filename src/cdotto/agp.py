@@ -23,12 +23,13 @@ then gives each theta's solution at O(r^2), the same solution rather than
 an approximation.
 The commutators of all strings come from one vectorized pass over
 their binary (x, z) masks (``cdotto.paulis.i_commutator_table``), as a
-sparse table of string, pattern and coefficient.  The solver works in
-reduced coordinates beta with alpha = q beta, q given by a partition of
-the strings into orbits (``orbit_partition``): uniform and disordered
-endpoints take the same build and differ only in that partition.  Every
-reduced solution is checked against the full normal equations.  All
-linear algebra here is numpy's.  The tests keep a direct
+sparse table of string, pattern and coefficient.  The solver builds and
+solves in reduced coordinates beta only, with alpha = q beta, q given by
+a partition of the strings into orbits (``orbit_partition``): uniform and
+disordered endpoints take the same build and differ only in that
+partition.  Every reduced solution is checked against the reduced normal
+equations, whose residual has the norm of the full one.  All linear
+algebra here is numpy's.  The tests keep a direct
 one-system-per-theta solve, the per-string symbolic build of the same
 system and the spectral gauge potential as references
 (``tests/oracles.py``).
@@ -49,8 +50,8 @@ from .paulis import dense_strings, i_commutator_table, pauli_masks, string_phase
 #: rcond of the minimum-norm least-squares fallback on the reduced system
 LSTSQ_RCOND = 1e-12
 
-#: a reduced solution is kept when the full normal-equation residual is at
-#: most this times (1 + ||w||)
+#: a reduced solution is kept when its normal-equation residual is at most
+#: this times (1 + ||u||)
 RESIDUAL_RTOL = 1e-8
 
 
@@ -105,17 +106,6 @@ def orbit_partition(params: EndpointParams, basis: AnsatzBasis) -> tuple[np.ndar
     return slots, 1.0 / np.sqrt(np.bincount(slots)[slots])
 
 
-def _sparse_matmul(rows, cols, vals, n_rows: int, mat: np.ndarray) -> np.ndarray:
-    """M @ mat for the n_rows-row matrix M with entries M[rows, cols] = vals.
-
-    One column at a time, so no temporary grows with the columns of mat.
-    """
-    out = np.empty((n_rows, mat.shape[1]))
-    for j, col in enumerate(mat.T):
-        out[:, j] = np.bincount(rows, vals * col[cols], n_rows)
-    return out
-
-
 def _endpoint_weights(thetas) -> np.ndarray:
     """((1 - t)^2, t (1 - t), t^2) for each theta t, on a last axis."""
     t = np.asarray(thetas, dtype=float)[..., None]
@@ -137,42 +127,44 @@ class AgpSolver:
     the power form cancel, and their rounding moved ill-conditioned
     solutions several times as far.  The target w = -2^N b0 d, for the
     coefficients d of dH0/dtheta, is one vector (b1 d = b0 d, as
-    H0(theta) - H0(0) commutes with dH0/dtheta), so the tolerance
-    ``RESIDUAL_RTOL`` (1 + ||w||) of the residual check is fixed at build.
+    H0(theta) - H0(0) commutes with dH0/dtheta), so the tolerance of the
+    residual check below is fixed at build.
 
     The solver works in reduced coordinates beta, with alpha = q beta for
     the q of orthonormal columns that ``orbit_partition`` gives as a slot
     and a weight per string: the site-permutation orbit sums for uniform
     endpoints (13 columns at N = 6, p = 4 in place of 926 strings), one
-    string per orbit (q = I) otherwise.  Every solver forms b_k^T q in one
-    bincount, the m x r products P_k q = 2^N b_i (b_j^T q) and w as sparse
-    products, and R_k = q^T P_k q, u = q^T w as sums over the orbits.  No
-    dense b matrix is held, and no m x m matrix unless r = m, when
-    q^T P_k q is P_k q, u is w, and each is held once.
+    string per orbit (q = I) otherwise.  The build forms the patterns x r
+    matrices X_k = b_k^T q in one bincount each and, from them alone,
+    R0 = 2^N X0^T X0, R1 = 2^N (X0^T X1 + X1^T X0), R2 = 2^N X1^T X1 (that
+    is, q^T P_k q) and u = q^T w = -2^N X0^T d.  No dense b matrix is
+    formed, and no m-sized product: the solver holds (3, r, r) and (r,).
 
     ``reduced_batch`` solves the reduced systems R(theta) beta = u, with
-    R(theta) = q^T P(theta) q and u = q^T w, for a vector of theta.  Its
-    first rung is a spectral factorization of the pencil, built once on
-    first use (or by ``factorize``, which ``cycle.run_cycle`` calls before
-    the dense states): with t = theta - 1/2,
-    R(theta) = Gc + t G1 + t^2 K2, and one ``eig`` of a companion matrix
-    gives R(theta)^-1 = V_top (I + t Lambda)^-1 Y in real factors
-    (``_pencil_factors``).  Each theta costs a few products with r x 2r
-    factors and two refinements against the residual R(theta) beta - u,
-    formed row by row, so a theta's solution does not depend on its batch.
-    Every solution is checked against the full normal equations,
-    g = P(theta) q beta - w, the residuals of all of them one stacked
-    product with the P_k q.  A theta that fails the check, or every theta
-    when no factorization could be built (Gc = R(1/2) not positive
-    definite, as at endpoints with a zero gram there), takes the direct
-    path on its own (``_direct``, counted in ``direct_solves``): a
-    Cholesky gate, ``np.linalg.solve`` and the same check.  Where that
-    fails too, it falls back to minimum-norm least squares on the reduced
-    system (counted in ``fallbacks``).  That is the full system's
-    minimum-norm solution: for disordered endpoints q = I, and for uniform
-    ones P and w commute with site permutations, so P q = q R, the range of
-    P lies in the orbit span, and so does the minimum-norm alpha, which is
-    q beta.
+    R(theta) = q^T P(theta) q, for a vector of theta.  Its first rung is a
+    spectral factorization of the pencil, built once on first use (or by
+    ``factorize``, which ``cycle.run_cycle`` calls before the dense
+    states): with t = theta - 1/2, R(theta) = Gc + t G1 + t^2 K2, and one
+    ``eig`` of a companion matrix gives R(theta)^-1 = V_top (I + t Lambda)^-1 Y
+    in real factors (``_pencil_factors``).  Each theta costs a few products
+    with r x 2r factors and two refinements against the residual
+    R(theta) beta - u, formed row by row, so a theta's solution does not
+    depend on its batch.  Every solution is checked against that residual:
+    ||R(theta) beta - u|| <= ``RESIDUAL_RTOL`` (1 + ||u||).  The check is
+    the full one, g = P(theta) q beta - w: for disordered endpoints q = I,
+    and for uniform ones P(theta) commutes with site permutations and
+    q beta and w are invariant, so g lies in the orbit span for every beta
+    and ||g|| = ||q^T g||, as ||w|| = ||u||.  A theta that fails the
+    check, or every theta when no factorization could be built (Gc = R(1/2)
+    not positive definite, as at endpoints with a zero gram there), takes
+    the direct path on its own (``_direct``, counted in
+    ``direct_solves``): a Cholesky gate, ``np.linalg.solve`` and the same
+    check.  Where that fails too, it falls back to minimum-norm least
+    squares on the reduced system (counted in ``fallbacks``).  That is the
+    full system's minimum-norm solution: for disordered endpoints q = I,
+    and for uniform ones P and w commute with site permutations, so
+    P q = q R, the range of P lies in the orbit span, and so does the
+    minimum-norm alpha, which is q beta.
 
     The propagator uses the ``reduced_*`` members only:
     H_CD = theta_dot * sum_B beta_B O_B with O_B = sum_a q_aB O_a, and
@@ -187,69 +179,41 @@ class AgpSolver:
             raise DimensionError("params and basis must share n_sites")
         self.params = params
         self.basis = basis
-        self.fallbacks = 0
-        self.direct_solves = 0
-        self.factor_s = None
-        self._pencil = None
-        self._stack = None
+        self.fallbacks = self.direct_solves = 0
+        self.factor_s = self._pencil = self._stack = None
 
         n = params.n_sites
-        self._scale = 2.0 ** n
         self._masks = x, z = pauli_masks(basis.strings, n)
         dh0 = dh0_dtheta(params)
         tables = [i_commutator_table(x, z, h0_at(params, t)) for t in (0.0, 1.0)]
 
-        # one column per pattern that occurs, keyed as the tables key them;
+        # one row per pattern that occurs, keyed as the tables key them;
         # sorted in Python: np.unique imports numpy.ma, and it and np.sort
         # add up to 0.7 MB of peak RSS to a small run
         dx, dz = pauli_masks(dh0.terms, n)
         d_codes = (dx << n) | dz
         all_codes = np.concatenate([t[1] for t in tables] + [d_codes])
         codes = np.array(sorted(set(all_codes.tolist())))
-        self._n_patterns = len(codes)
-        self._tables = tuple((rows, np.searchsorted(codes, c), vals) for rows, c, vals in tables)
-        d = np.zeros((len(codes), 1))
-        d[np.searchsorted(codes, d_codes), 0] = [c.real for c in dh0.terms.values()]
 
         self._slots, self._weights = orbit_partition(params, basis)
-        self._n_orbits = int(self._slots.max()) + 1
-        self._pq_stack = self._products()
+        r = self._n_orbits = int(self._slots.max()) + 1
+        # X_k = b_k^T q, one bincount each
+        x0, x1 = (np.bincount(np.searchsorted(codes, c) * r + self._slots[rows],
+                              vals * self._weights[rows], len(codes) * r).reshape(-1, r)
+                  for rows, c, vals in tables)
+        # R_k written in place, X0^T X1 held in r[2] until R2 replaces it:
+        # the build's transient sets the peak RSS of a disordered point
+        self._r = np.empty((3, r, r))
+        np.matmul(x0.T, x0, out=self._r[0])
+        np.matmul(x0.T, x1, out=self._r[2])
+        np.add(self._r[2], self._r[2].T, out=self._r[1])
+        np.matmul(x1.T, x1, out=self._r[2])
+        scale = 2.0 ** n
+        self._r *= scale
         # v_a = -Re Tr[dH0 C_a(theta)] and [H0(theta), dH0] = [H0(0), dH0]: one target
-        self._w = -self._scale * _sparse_matmul(*self._tables[0], basis.size, d)[:, 0]
-        self._tol = RESIDUAL_RTOL * (1.0 + np.linalg.norm(self._w))
-        self._r = self._orbit_sums(self._pq_stack)
-        self._u = self._orbit_sums(self._w[:, None])[:, 0]
-
-    def _products(self) -> np.ndarray:
-        """P_k q, shape (3, m, r), from b_k^T q in one bincount."""
-        m, n_pat, r = self.basis.size, self._n_patterns, self._n_orbits
-        b0q, b1q = (np.bincount(cols * r + self._slots[rows], vals * self._weights[rows],
-                                n_pat * r).reshape(n_pat, r)
-                    for rows, cols, vals in self._tables)
-
-        def b(k, mat):
-            return _sparse_matmul(*self._tables[k], m, mat)
-
-        out = np.empty((3, m, r))
-        out[0] = b(0, b0q)
-        out[1] = b(0, b1q)
-        out[1] += b(1, b0q)
-        out[2] = b(1, b1q)
-        out *= self._scale
-        return out
-
-    def _orbit_sums(self, mats: np.ndarray) -> np.ndarray:
-        """q^T mat for each (m, k) matrix of a stack: every orbit's weighted sum of its rows.
-
-        With one string per orbit q^T mat is mat, and ``mats`` itself is
-        returned, so a disordered solver holds each m x m matrix once.
-        """
-        m, r = self.basis.size, self._n_orbits
-        if r == m:
-            return mats
-        rows = np.moveaxis(mats, -2, 0)
-        sums = _sparse_matmul(self._slots, np.arange(m), self._weights, r, rows.reshape(m, -1))
-        return np.ascontiguousarray(np.moveaxis(sums.reshape((r,) + rows.shape[1:]), 0, -2))
+        d = np.array([c.real for c in dh0.terms.values()])
+        self._u = -scale * (d @ x0[np.searchsorted(codes, d_codes)])
+        self._tol = RESIDUAL_RTOL * (1.0 + np.linalg.norm(self._u))
 
     @property
     def reduced_stack(self) -> np.ndarray:
@@ -266,21 +230,22 @@ class AgpSolver:
                                         self._slots, self._n_orbits)
         return self._stack
 
-    def _normal_residual(self, thetas, betas) -> np.ndarray:
-        """Norms of the full normal-equation residuals P(theta) q beta - w.
+    def _residual(self, weights, betas) -> np.ndarray:
+        """R(theta) beta - u for each theta, given its ``_endpoint_weights``.
 
-        ``betas`` has the shape of ``thetas`` plus a last axis of r; the
-        products of all of them with the P_k q are one stacked matrix product.
+        ``weights`` is (..., 3) and ``betas`` (..., r), with the same
+        leading shape.  Each theta's products are formed on its own row as
+        stacked vector-matrix products, so its residual does not depend on
+        the batch it arrives in.
         """
-        pq_beta = betas @ self._pq_stack.transpose(0, 2, 1)
-        g = np.einsum("...k,k...m->...m", _endpoint_weights(thetas), pq_beta) - self._w
-        return np.sqrt(np.vecdot(g, g))
+        rk = (betas[..., None, None, :] @ self._r.transpose(0, 2, 1))[..., 0, :]
+        return (weights[..., None, :] @ rk)[..., 0, :] - self._u
 
-    def _passes(self, thetas, betas) -> np.ndarray:
-        """Whether each solution is finite and passes the full normal-equation check."""
+    def _passes(self, weights, betas) -> np.ndarray:
+        """Whether each solution is finite and its residual at most ``_tol``."""
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite beta fails anyway
-            return np.isfinite(betas).all(axis=-1) & (self._normal_residual(thetas, betas)
-                                                      <= self._tol)
+            res = self._residual(weights, betas)
+            return np.isfinite(betas).all(axis=-1) & (np.sqrt(np.vecdot(res, res)) <= self._tol)
 
     def factorize(self) -> None:
         """Build the spectral factorization of the reduced gram pencil, once per solver.
@@ -347,16 +312,15 @@ class AgpSolver:
             raise np.linalg.LinAlgError("non-finite factors of the gram pencil")
         return vt, yt, yu, a, coupling, partner
 
-    def _spectral_batch(self, thetas: np.ndarray) -> np.ndarray:
+    def _spectral_batch(self, thetas: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Spectral solutions, refined twice against the reduced residual R(theta) beta - u.
 
         Near a pole of beta(theta) the unrefined solution is off by up to
         about 5e-5 (relative), and one refinement leaves about its square;
         the second brings it to the rounding floor of the residual, at
         which the direct solve also stops (disordered N = 4, p = 4).
-        Each theta's products are formed on its own row as stacked
-        vector-matrix products, so its solution does not depend on the
-        batch it arrives in.
+        Every product is formed on its theta's own row, so a solution does
+        not depend on the batch it arrives in.
         """
         vt, yt, yu, a, coupling, partner = self._pencil
         t = thetas[:, None] - 0.5
@@ -369,25 +333,25 @@ class AgpSolver:
             """V_top (I + t Lambda)^-1 z on each row."""
             return ((diag * z + off * z[..., partner])[:, None, :] @ vt)[:, 0]
 
-        e = _endpoint_weights(thetas)[:, None, :]
         beta = apply(yu)
         for _ in range(2):
-            rk = (beta[:, None, None, :] @ self._r.transpose(0, 2, 1))[:, :, 0]
-            res = (e @ rk)[:, 0] - self._u
-            beta = beta - apply((res[:, None, :] @ yt)[:, 0])
+            beta = beta - apply((self._residual(weights, beta)[:, None, :] @ yt)[:, 0])
         return beta
+
+    def _gram(self, theta: float) -> np.ndarray:
+        """The reduced gram matrix R(theta)."""
+        return (_endpoint_weights(theta) @ self._r.reshape(3, -1)).reshape(self._r.shape[1:])
 
     def _direct(self, theta: float) -> np.ndarray:
         """The reduced system at one theta: a checked Cholesky-gated solve, else least squares."""
         self.direct_solves += 1
-        r = self._n_orbits
-        gram = (_endpoint_weights(theta) @ self._r.reshape(3, -1)).reshape(r, r)
+        gram = self._gram(theta)
         try:
             # positive-definiteness gate; numpy has no triangular solve that
             # could reuse the factors, so the solve factors again
             np.linalg.cholesky(gram)
             beta = np.linalg.solve(gram, self._u)
-            if self._passes(theta, beta):
+            if self._passes(_endpoint_weights(theta), beta):
                 return beta
         except np.linalg.LinAlgError:
             pass
@@ -396,25 +360,24 @@ class AgpSolver:
 
     def _least_squares(self, theta: float) -> np.ndarray:
         """Minimum-norm least-squares solution of the reduced system at theta."""
-        r = self._n_orbits
-        gram = (_endpoint_weights(theta) @ self._r.reshape(3, -1)).reshape(r, r)
-        return np.linalg.lstsq(gram, self._u, rcond=LSTSQ_RCOND)[0]
+        return np.linalg.lstsq(self._gram(theta), self._u, rcond=LSTSQ_RCOND)[0]
 
     def reduced_batch(self, thetas) -> np.ndarray:
         """Reduced solutions beta(theta) for a vector of theta, one row each.
 
-        Spectral solutions first; a theta whose solution fails the full
-        normal-equation check, or every theta when the solver has no
-        factorization, takes the direct path on its own.
+        Spectral solutions first; a theta whose solution fails the residual
+        check, or every theta when the solver has no factorization, takes
+        the direct path on its own.
         """
         thetas = np.asarray(thetas, dtype=float).ravel()
+        weights = _endpoint_weights(thetas)
         self.factorize()
         if self._pencil is None:
             beta, ok = np.empty((len(thetas), self._n_orbits)), np.zeros(len(thetas), bool)
         else:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                beta = self._spectral_batch(thetas)
-            ok = self._passes(thetas, beta)
+                beta = self._spectral_batch(thetas, weights)
+            ok = self._passes(weights, beta)
         for k in np.flatnonzero(~ok):
             beta[k] = self._direct(thetas[k])
         return beta

@@ -10,9 +10,10 @@ shortest round-trip decimals so reruns are byte-identical.  Per-point
 diagnostics (wall time and its split over the stroke layers, Qc and steps
 per step-doubling pass, the error estimate of a converging run's Qc, trace
 and purity drift, AGP fallbacks and direct solves, the AGP factorization
-time, gap flag) go to ``diagnostics.json``, and a JSON manifest (config
-digest, timings, per-point failures, the diagnostics file) is written
-last.  Each finished point prints a progress line on stderr.
+time, the smallest endpoint gap) go to ``diagnostics.json``, and a JSON
+manifest (config digest, timings, per-point failures, the diagnostics
+file) is written last.  Each finished point prints a progress line on
+stderr.
 """
 
 from __future__ import annotations

@@ -139,7 +139,7 @@ class AdiabaticReference:
     """Infinitely slow cycle computed by eigenvalue transport, no propagation."""
 
     qc: float
-    gap_flag: bool
+    endpoint_gap: float
     energies: tuple[float, float, float, float]
 
 
@@ -147,11 +147,12 @@ def adiabatic_reference(cfg: CycleConfig) -> AdiabaticReference:
     """Cycle metrics in the adiabatic limit.
 
     Gibbs populations are carried along the sorted eigenvalue order of the
-    endpoint Hamiltonians (no level crossings assumed); ``gap_flag`` reports
-    endpoint spectral gaps below 1e-9, where the transport order is
-    ambiguous but the energies are not.  Site-independent parameters with
-    N >= 2 have exact permutation degeneracies, so the flag is set at every
-    such point and informs site-dependent runs only.
+    endpoint Hamiltonians (no level crossings assumed).  ``endpoint_gap``
+    is the smallest gap between neighbours of the two sorted endpoint
+    spectra: where it is small the transport order is ambiguous, but the
+    energies are not.  Site-independent parameters with N >= 2 have exact
+    permutation degeneracies, so it is zero up to rounding at every such
+    point.
     """
     e_cold = np.linalg.eigvalsh(to_dense(h0_at(cfg.params, 0.0)))
     e_hot = np.linalg.eigvalsh(to_dense(h0_at(cfg.params, 1.0)))
@@ -161,10 +162,9 @@ def adiabatic_reference(cfg: CycleConfig) -> AdiabaticReference:
     e_b = float(p_a @ e_hot)
     e_c = float(p_c @ e_hot)
     e_d = float(p_c @ e_cold)
-    gap = min(float(np.diff(e_cold).min()), float(np.diff(e_hot).min()))
     return AdiabaticReference(
         qc=e_a - e_d,
-        gap_flag=bool(gap < 1e-9),
+        endpoint_gap=min(float(np.diff(e_cold).min()), float(np.diff(e_hot).min())),
         energies=(e_a, e_b, e_c, e_d),
     )
 
@@ -260,7 +260,7 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
         "agp_fallbacks": sum(call.diagnostics.agp_fallbacks for call in calls),
         "agp_direct": sum(call.diagnostics.agp_direct for call in calls),
         "agp_factor_s": solver.factor_s if solver is not None else 0.0,
-        "gap_flag": ref.gap_flag,
+        "endpoint_gap": ref.endpoint_gap,
         "e_a": e_a, "e_b": e_b, "e_c": e_c, "e_d": e_d,
         "pass_qc": pass_qc,
         "pass_steps": pass_steps,

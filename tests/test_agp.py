@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cdotto.agp import LSTSQ_RCOND, AgpSolver, build_basis, orbit_partition
+from cdotto.agp import LSTSQ_RCOND, AgpSolver, _endpoint_weights, build_basis, orbit_partition
 from cdotto.errors import DomainError
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
 from cdotto.paulis import OperatorSum, commutator
@@ -261,15 +261,22 @@ class TestOrbitPartition:
         np.testing.assert_array_equal(weights, 1.0)
 
     def test_disordered_solver_holds_each_system_once(self):
-        solver = AgpSolver(disordered_params(4), build_basis(4, 3))
-        m = solver.basis.size
-        assert solver._r.shape == solver._pq_stack.shape == (3, m, m)
-        assert np.shares_memory(solver._r, solver._pq_stack)
-        assert np.shares_memory(solver._u, solver._w)
-        # uniform endpoints reduce to separate r x r systems
-        uniform = AgpSolver(EndpointParams.uniform(4), build_basis(4, 3))
-        assert uniform._r.shape == (3, 7, 7)
-        assert not np.shares_memory(uniform._r, uniform._pq_stack)
+        # every solver holds the reduced systems R_k (3, r, r) and u (r,) and
+        # nothing of the full ones: the partition and the string masks are
+        # its only per-string arrays, also after a solve and a stack build
+        for params, r in ((disordered_params(4), 80), (EndpointParams.uniform(4), 7)):
+            solver = AgpSolver(params, build_basis(4, 3))
+            m = solver.basis.size
+            assert m == 80 and solver._n_orbits == r
+            assert solver._r.shape == (3, r, r) and solver._u.shape == (r,)
+            solver.reduced_batch([0.3])
+            assert solver.reduced_stack.shape == (r, 16, 16)
+            if r < m:
+                held = {name: value if isinstance(value, tuple) else (value,)
+                        for name, value in vars(solver).items()}
+                assert {name for name, values in held.items()
+                        if any(isinstance(v, np.ndarray) and m in v.shape for v in values)
+                        } == {"_slots", "_weights", "_masks"}
 
 
 class TestMaskBuild:
@@ -287,16 +294,33 @@ class TestMaskBuild:
         # analytically and carry only roundoff in the reference
         p_scale = max(np.abs(x).max() for x in pq)
         w_scale = max(np.abs(x).max() for x in ref.w)
-        for got, want in zip(solver._pq_stack, pq):
-            assert np.abs(got - want).max() <= 1e-12 * p_scale
         for got, want in zip(solver._r, pq):
             assert np.abs(got - q.T @ want).max() <= 1e-12 * p_scale
-        # the target does not depend on theta: the one w matches both endpoints
-        assert solver._w.shape == (basis.size,)
+        # the target does not depend on theta: the one u matches both endpoints
         assert solver._u.shape == (q.shape[1],)
         for want in ref.w:
-            assert np.abs(solver._w - want).max() <= 1e-12 * w_scale
             assert np.abs(solver._u - q.T @ want).max() <= 1e-12 * w_scale
+
+    @pytest.mark.parametrize("kind,n", BUILD_CASES, ids=[f"{k}-N{n}" for k, n in BUILD_CASES])
+    def test_reduced_residual_is_the_full_residual(self, kind, n):
+        # P(theta) commutes with site permutations and q beta, w are
+        # invariant, so g = P(theta) q beta - w lies in the orbit span for
+        # every beta, and ||g|| = ||q^T g||: the gate loses nothing
+        params = endpoint_params(kind, n)
+        basis = build_basis(n, min(n, 4))
+        solver = AgpSolver(params, basis)
+        ref = oracles.string_build(params, basis)
+        q = dense_q(solver._slots, solver._weights)
+        rng = np.random.default_rng(n)
+        for w in ref.w:
+            assert abs(np.linalg.norm(w) - np.linalg.norm(solver._u)) <= 1e-12 * np.linalg.norm(w)
+        for theta in np.linspace(0.0, 1.0, 7):
+            weights = ((1 - theta) ** 2, theta * (1 - theta), theta ** 2)
+            pq = sum(c * pk for c, pk in zip(weights, ref.p)) @ q
+            for beta in rng.standard_normal((3, q.shape[1])):
+                full = np.linalg.norm(pq @ beta - ref.w[0])
+                reduced = np.linalg.norm(solver._residual(_endpoint_weights(theta), beta))
+                assert abs(reduced - full) <= 1e-12 * full, theta
 
     @pytest.mark.parametrize("kind,n", BUILD_CASES, ids=[f"{k}-N{n}" for k, n in BUILD_CASES])
     def test_stack_equals_dense_pattern_sums(self, kind, n):
@@ -312,15 +336,16 @@ class TestMaskBuild:
         assert solver.reduced_stack.tobytes() == want.tobytes()
 
     def test_uniform_n8_builds_and_solves(self):
-        # 3,648 strings in 13 orbits; the full normal-equation residual is
-        # checked on every solve and must pass without a fallback
+        # 3,648 strings in 13 orbits; the reduced residual, which is the
+        # full normal-equation residual (test_reduced_residual_is_the_full_residual),
+        # is checked on every solve and must pass without a fallback
         params = EndpointParams.uniform(8)
         solver = AgpSolver(params, build_basis(8, 4))
         assert solver.basis.size == 3648
         for theta in np.linspace(0.0, 1.0, 11):
             beta = solver.reduced_batch([theta])[0]
             assert beta.shape == (13,)
-            assert solver._normal_residual(theta, beta) <= solver._tol
+            assert np.linalg.norm(solver._residual(_endpoint_weights(theta), beta)) <= solver._tol
         assert solver.fallbacks == 0
         assert solver.reduced_stack.shape == (13, 256, 256)
 

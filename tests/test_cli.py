@@ -63,6 +63,7 @@ class TestRun:
             assert pt["qc_error"] is None
             assert pt["wall_s"] > 0 and pt["agp_fallbacks"] == pt["agp_direct"] == 0
             assert pt["agp_factor_s"] >= 0.0
+            assert isinstance(pt["endpoint_gap"], float) and "gap_flag" not in pt
             assert pt["trace_drift"] <= 1e-10 and pt["purity_drift"] <= 1e-10
         progress = [line for line in capsys.readouterr().err.splitlines()
                     if line.startswith("[")]

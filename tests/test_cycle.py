@@ -285,6 +285,19 @@ class TestAdiabaticReference:
         p_c = oracles.gibbs_populations(e_hot, 0.4)
         assert ref.qc == pytest.approx(float(p_a @ e_cold - p_c @ e_cold), abs=1e-12)
 
+    def test_endpoint_gap(self):
+        # site permutations make a uniform spectrum degenerate
+        assert 0.0 <= adiabatic_reference(uniform_cfg(3, 0)).endpoint_gap <= 1e-12
+        params = disordered_params(3)
+        pairs = [(j, k) for j in range(1, 3) for k in range(j)]
+        spectra = [np.linalg.eigvalsh(oracles.dense_ising(3, h, b, dict(zip(pairs, j))))
+                   for h, b, j in ((params.h_i, params.b_i, params.j_i),
+                                   (params.h_f, params.b_f, params.j_f))]
+        gap = min(np.diff(e).min() for e in spectra)
+        cfg = CycleConfig(params=params, p=0, tau1=1.0, tau3=1.0)
+        assert adiabatic_reference(cfg).endpoint_gap == pytest.approx(gap, rel=1e-12)
+        assert gap > 1e-3
+
     def test_exact_control_reaches_reference(self):
         cfg = uniform_cfg(3, 3)
         rep = run_cycle(cfg, RunOptions(converge=False))

@@ -10,7 +10,10 @@ invocations in a fresh process with that tree first on PYTHONPATH:
 
 - every invocation of the four benchmark workloads (``perfbench/workloads.py``)
   at seeds 1 and 2, under each workload's BLAS thread count;
-- ``--preset fig2`` to ``fig5`` at ``--steps-per-unit-time 100``.
+- ``--preset fig2`` to ``fig5`` at ``--steps-per-unit-time 100``;
+- the command at the top of every pinned table's config
+  (``tests/data/*/*.cfg``, read as ``tests/test_pinned_tables.py`` reads
+  it), with its config path taken from this repository.
 
 For each table it prints whether the two ``results.csv`` are byte-identical
 and how many cells lie beyond the pinned-table rule |new - old| <=
@@ -25,12 +28,14 @@ from __future__ import annotations
 import csv
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
@@ -49,6 +54,18 @@ def invocations():
                 yield f"{name}-s{seed}-{i}", inv.config, rate, wl.blas_threads
     for preset in PRESETS:
         yield preset, None, ["--preset", preset, "--steps-per-unit-time", repr(PRESET_RATE)], None
+    for cfg in sorted((ROOT / "tests" / "data").glob("*/*.cfg")):
+        yield f"{cfg.parent.name}-{cfg.stem}", None, pinned_args(cfg), None
+
+
+def pinned_args(cfg: Path) -> list:
+    """The arguments of the `# cdotto run ...` line of a pinned config, less ``--out DIR``."""
+    line = next(line for line in cfg.read_text().splitlines() if line.startswith("# cdotto run "))
+    args = shlex.split(line.removeprefix("# cdotto run "))
+    del args[args.index("--out"):args.index("--out") + 2]
+    i = args.index("--config") + 1
+    args[i] = str(ROOT / args[i])
+    return args
 
 
 def run_table(src: Path, out: Path, args: list, blas_threads) -> Path:
