@@ -160,6 +160,10 @@ def _resolve_inputs(args):
         overrides = parse_config_text(text)
     if blocks:
         for block in blocks:
+            # stroke times given by the config replace the preset's in either form
+            if overrides.keys() & {"tau", "tau1", "tau3"}:
+                for key in ("tau", "tau1", "tau3"):
+                    block.pop(key, None)
             block.update(overrides)
     elif overrides or args.config is not None:
         blocks = [overrides]

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agp import AgpSolver, build_basis
-from .dynamics import LAYERS, MIN_STEPS, boltzmann_weights, gibbs_state, propagate_stroke
+from .dynamics import LAYERS, MIN_STEPS, DensityMatrix, propagate_stroke, thermal_state
 from .errors import CapacityError, DomainError
 from .model import EndpointParams, SweepSpec, h0_at
-from .paulis import DENSE_SITE_CAP, to_dense
+from .paulis import DENSE_SITE_CAP
 
 
 @dataclass(frozen=True)
@@ -136,17 +136,24 @@ class CycleReport:
 
 @dataclass(frozen=True)
 class AdiabaticReference:
-    """Infinitely slow cycle computed by eigenvalue transport, no propagation."""
+    """Infinitely slow cycle computed by eigenvalue transport, no propagation.
+
+    ``states`` are the Gibbs states rho_a and rho_c whose spectra it reads.
+    """
 
     qc: float
     endpoint_gap: float
     energies: tuple[float, float, float, float]
+    states: tuple[DensityMatrix, DensityMatrix]
 
 
 def adiabatic_reference(cfg: CycleConfig) -> AdiabaticReference:
     """Cycle metrics in the adiabatic limit.
 
-    Gibbs populations are carried along the sorted eigenvalue order of the
+    One ``dynamics.thermal_state`` per endpoint gives the sorted spectrum
+    of H0(0) with its populations at Tc and of H0(1) at Th, and the Gibbs
+    states rho_a and rho_c that ``run_cycle`` starts its strokes in.  The
+    populations are carried along the sorted eigenvalue order of the
     endpoint Hamiltonians (no level crossings assumed).  ``endpoint_gap``
     is the smallest gap between neighbours of the two sorted endpoint
     spectra: where it is small the transport order is ambiguous, but the
@@ -154,10 +161,8 @@ def adiabatic_reference(cfg: CycleConfig) -> AdiabaticReference:
     permutation degeneracies, so it is zero up to rounding at every such
     point.
     """
-    e_cold = np.linalg.eigvalsh(to_dense(h0_at(cfg.params, 0.0)))
-    e_hot = np.linalg.eigvalsh(to_dense(h0_at(cfg.params, 1.0)))
-    p_a = boltzmann_weights(e_cold, cfg.Tc)
-    p_c = boltzmann_weights(e_hot, cfg.Th)
+    e_cold, p_a, rho_a = thermal_state(h0_at(cfg.params, 0.0), cfg.Tc)
+    e_hot, p_c, rho_c = thermal_state(h0_at(cfg.params, 1.0), cfg.Th)
     e_a = float(p_a @ e_cold)
     e_b = float(p_a @ e_hot)
     e_c = float(p_c @ e_hot)
@@ -166,6 +171,7 @@ def adiabatic_reference(cfg: CycleConfig) -> AdiabaticReference:
         qc=e_a - e_d,
         endpoint_gap=min(float(np.diff(e_cold).min()), float(np.diff(e_hot).min())),
         energies=(e_a, e_b, e_c, e_d),
+        states=(rho_a, rho_c),
     )
 
 
@@ -182,7 +188,8 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     """Propagate one full cycle and assemble every reported metric.
 
     Every ``propagate_stroke`` call sweeps theta from 0 to 1 starting in
-    rho_a.  Stroke 1 is the sweep of tau1; stroke 3 is the ``reverse`` of
+    rho_a; rho_a and rho_c are the states of ``adiabatic_reference``, so
+    each endpoint is decomposed once per point.  Stroke 1 is the sweep of tau1; stroke 3 is the ``reverse`` of
     the sweep of tau3, started in rho_c.  When both have one duration and
     step count, a pass makes one call; otherwise it makes two.  The
     report's ``diagnostics`` carry the point's wall time, its split over
@@ -208,8 +215,7 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
         # freed before the states' own LAPACK calls, which keeps peak RSS lower
         solver.factorize()
     ref = adiabatic_reference(cfg)
-    rho_a = gibbs_state(h0_at(cfg.params, 0.0), cfg.Tc)
-    rho_c = gibbs_state(h0_at(cfg.params, 1.0), cfg.Th)
+    rho_a, rho_c = ref.states
 
     layer_s = dict.fromkeys(LAYERS, 0.0)
 

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from cdotto.agp import LSTSQ_RCOND, AgpSolver, _endpoint_weights, build_basis, orbit_partition
-from cdotto.errors import DomainError
+from cdotto.errors import DimensionError, DomainError
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
 from cdotto.paulis import OperatorSum, commutator
 from oracles import exact_agp, solve_agp
@@ -69,6 +69,10 @@ class TestBasis:
 
 
 class TestSolve:
+    def test_params_and_basis_must_share_n_sites(self):
+        with pytest.raises(DimensionError, match="share n_sites"):
+            AgpSolver(EndpointParams.uniform(2), build_basis(3, 1))
+
     def test_single_site_closed_form(self):
         # two-level medium at theta = 0.5: h = 0.1, b = 0.25,
         # dh/dtheta = -0.2, db/dtheta = 0.5

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: determinism, formats, manifest."""
 
+import csv
 import json
 import os
 import subprocess
@@ -177,6 +178,37 @@ class TestRun:
                         "--out", str(out), "--steps-per-unit-time", "400"]) == 0
         lines = (out / "results.csv").read_text().strip().split("\n")
         assert len(lines) == 2
+
+    def test_config_stroke_times_replace_the_preset_tau(self, tmp_path):
+        cfg = tmp_path / "override.cfg"
+        cfg.write_text("N = 2\np = 1\ntau1 = 1.0\ntau3 = 2.0\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--preset", "fig3", "--config", str(cfg),
+                        "--out", str(out), "--steps-per-unit-time", "400"]) == 0
+        with (out / "results.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["tau1"], row["tau3"]) for row in rows] == [("1.0", "2.0")]
+
+    def test_config_with_tau_and_tau1_still_fails_over_a_preset(self, tmp_path, capsys):
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text("N = 2\np = 1\ntau = 1.0\ntau1 = 1.0\ntau3 = 2.0\n")
+        assert run_cli(["run", "--preset", "fig3", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 2
+        assert "give either 'tau' or 'tau1'/'tau3', not both" in capsys.readouterr().err
+
+    def test_failed_point_is_listed_and_the_run_goes_on(self, tmp_path, capsys):
+        # N = 13 is above the dense cap, so the second point fails
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("N = 2,13\np = 0\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out),
+                        "--steps-per-unit-time", "400", "--workers", "1"]) == 0
+        assert len((out / "results.csv").read_text().strip().split("\n")) == 2
+        failures = json.loads((out / "manifest.json").read_text())["failures"]
+        assert [(f["index"], f["error"].split(":")[0]) for f in failures] == [(1, "CapacityError")]
+        err = capsys.readouterr().err
+        assert "N=13,p=0,tau1=1.0,tau3=1.0: failed" in err
+        assert "failed [1] N=13,p=0,tau1=1.0,tau3=1.0: CapacityError" in err
 
     def test_requires_config_or_preset(self, capsys):
         assert run_cli(["run"]) == 2

@@ -1,5 +1,7 @@
 """Config parsing, defaults, validation and grid expansion."""
 
+import re
+
 import pytest
 
 from cdotto.cli import main
@@ -47,6 +49,17 @@ class TestParse:
     def test_non_finite_values_name_line_and_key(self, line, key):
         with pytest.raises(ConfigError, match=f"line 3: key '{key}' expects finite numbers"):
             parse_config_text(f"N = 3\np = 0\n{line}\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("Tc = cold", "key 'Tc' expects numbers"),
+        ("N = ,", "key 'N' is empty"),
+        ("tau =", "key 'tau' is empty"),
+        ("Tc = 0.1, 0.2", "key 'Tc' expects a single number"),
+        ("h_i =", "key 'h_i' is empty"),
+    ])
+    def test_malformed_values_name_line_and_key(self, line, message):
+        with pytest.raises(ConfigError, match=re.escape(f"line 3: {message}")):
+            parse_config_text(f"p = 0\nb_f = 0.5\n{line}\n")
 
     def test_field_vector_parsing(self):
         raw = parse_config_text("N = 3\np = 1\nh_i = 0.1 0.2 0.3\n")

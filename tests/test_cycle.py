@@ -219,6 +219,12 @@ class TestRunCycle:
         assert rep.steps >= 2 * opts.stroke_steps(1.0)
         assert 2 * pass_steps[-2] == rep.steps
 
+    def test_half_step_pass_is_dropped_below_the_minimum(self):
+        # s = 150 steps per stroke, so the s // 2 pass would run 75 < MIN_STEPS
+        opts = RunOptions(steps_per_unit_time=150, min_steps=150, converge=True)
+        rep = run_cycle(uniform_cfg(1, 0), opts)
+        assert rep.diagnostics["pass_steps"][0] == 300
+
     @pytest.mark.parametrize("params,p,tau3,at_once", [
         pytest.param(EndpointParams.uniform(2), 0, 1.0, False, id="uniform-N2-p0"),
         pytest.param(EndpointParams.uniform(3), 3, 1.0, True, id="uniform-N3-p3"),
@@ -297,6 +303,44 @@ class TestAdiabaticReference:
         cfg = CycleConfig(params=params, p=0, tau1=1.0, tau3=1.0)
         assert adiabatic_reference(cfg).endpoint_gap == pytest.approx(gap, rel=1e-12)
         assert gap > 1e-3
+
+    def test_one_decomposition_per_endpoint(self, monkeypatch):
+        # uniform N = 3 strokes run in the 6-state collective space, so every
+        # 8 x 8 call is a thermal state's: one eigh each, and the eigvalsh of
+        # its DensityMatrix check
+        calls = []
+
+        def counting(name):
+            real = getattr(np.linalg, name)
+
+            def call(a, *args, **kwargs):
+                if np.shape(a) == (8, 8):
+                    calls.append(name)
+                return real(a, *args, **kwargs)
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        run_cycle(uniform_cfg(3, 2), FAST)
+        assert sorted(calls) == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
+
+    @pytest.mark.parametrize("params", [EndpointParams.uniform(3), disordered_params(3)],
+                             ids=["uniform", "disordered"])
+    def test_strokes_start_in_the_gibbs_states(self, params, monkeypatch):
+        starts = []
+        propagate = cycle.propagate_stroke
+
+        def recording_propagate(rho0, *args, reverse_from=None, **kwargs):
+            starts.append((rho0.matrix, reverse_from.matrix))
+            return propagate(rho0, *args, reverse_from=reverse_from, **kwargs)
+
+        monkeypatch.setattr(cycle, "propagate_stroke", recording_propagate)
+        cfg = CycleConfig(params=params, p=1, tau1=1.0, tau3=1.0)
+        run_cycle(cfg, FAST)
+        rho_a = gibbs_state(h0_at(params, 0.0), cfg.Tc).matrix
+        rho_c = gibbs_state(h0_at(params, 1.0), cfg.Th).matrix
+        assert len(starts) == 1
+        assert np.array_equal(starts[0][0], rho_a) and np.array_equal(starts[0][1], rho_c)
 
     def test_exact_control_reaches_reference(self):
         cfg = uniform_cfg(3, 3)

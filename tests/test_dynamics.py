@@ -83,6 +83,10 @@ class TestDensityMatrix:
         with pytest.raises(DomainError):
             DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(DimensionError, match=r"shape \(2, 2\) does not match 2 sites"):
+            DensityMatrix(2, 0.5 * np.eye(2, dtype=complex))
+
     def test_weighted_trace_and_purity(self):
         assert check_state(0.5 * np.eye(2, dtype=complex), np.ones(2)) == (1.0, 0.5)
         # one block of multiplicity 2 carrying half the trace, and one of 1
@@ -310,8 +314,8 @@ class TestPropagation:
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", 1 << 40)
         whole = propagate_stroke(rho, params, spec, cd=solvers[0], steps=steps)
 
-        r, m = (solvers[1].reduced_stack.shape[0], solvers[1].basis.size) if p else (0, 0)
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(dim, r, m))
+        r = solvers[1].reduced_stack.shape[0] if p else 0
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(dim, r))
         chunk_sizes = []
         eigh = np.linalg.eigh
 
@@ -361,7 +365,7 @@ class TestPropagation:
         # chunks of 7 steps; the eigenvectors of the fifth step of the third
         # chunk (step 19) turn to nan, and so does every later state
         rho = gibbs_state(h0_at(PARAMS2, 0.0), 0.2)
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(4, 0, 0))
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(4, 0))
         calls = []
         eigh = np.linalg.eigh
 
