@@ -15,7 +15,7 @@ with C_a = i [O_a, H0(theta)] (Sels & Polkovnikov, PNAS 114, E3909 (2017)).
 ``AgpSolver`` precomputes the theta-dependence (H0 is affine in theta, so
 gram is quadratic in theta and v constant: [H0(theta), dH0/dtheta] is
 [H0(0), dH0/dtheta]) and solves a whole vector of theta at once, one
-chunk of a stroke grid per call, and keeps none of the solutions.  As the
+block of a stroke grid per call, and keeps none of the solutions.  As the
 gram is quadratic in theta, beta(theta) is a rational function whose 2r
 poles are the eigenvalues of one 2r x 2r companion matrix (Tisseur &
 Meerbergen, SIAM Rev. 43, 235 (2001)): one eigendecomposition per solver
@@ -148,8 +148,15 @@ class AgpSolver:
     ``eig`` of a companion matrix gives R(theta)^-1 = V_top (I + t Lambda)^-1 Y
     in real factors (``_pencil_factors``).  Each theta costs a few products
     with r x 2r factors and two refinements against the residual
-    R(theta) beta - u, formed row by row, so a theta's solution does not
-    depend on its batch.  Every solution is checked against that residual:
+    R(theta) beta - u.  The thetas of a call are one block, and each of
+    these products, the residual check's included, is one matrix-matrix
+    product over the block's rows.  So a solution depends on its block in
+    the last bits, as the order of a product's sums depends on its shape:
+    on a 1000-theta grid, one block against one theta per call differed by
+    up to 8.5e-8 (|beta| up to 65, near a pole) at disordered N = 4, p = 4
+    and by 1.5e-12 at N = 5, p = 3 (``tests/test_model.disordered_params``),
+    inside the residual check either way.  The same block gives the same
+    bits on every call.  Every solution is checked against that residual:
     ||R(theta) beta - u|| <= ``RESIDUAL_RTOL`` (1 + ||u||).  The check is
     the full one, g = P(theta) q beta - w: for disordered endpoints q = I,
     and for uniform ones P(theta) commutes with site permutations and
@@ -233,13 +240,12 @@ class AgpSolver:
     def _residual(self, weights, betas) -> np.ndarray:
         """R(theta) beta - u for each theta, given its ``_endpoint_weights``.
 
-        ``weights`` is (..., 3) and ``betas`` (..., r), with the same
-        leading shape.  Each theta's products are formed on its own row as
-        stacked vector-matrix products, so its residual does not depend on
-        the batch it arrives in.
+        ``weights`` is (n, 3) and ``betas`` (n, r), or (3,) and (r,) for
+        one theta.  The block's R_k beta are three matrix-matrix products
+        with the held R_k, read as they are since each is exactly symmetric.
         """
-        rk = (betas[..., None, None, :] @ self._r.transpose(0, 2, 1))[..., 0, :]
-        return (weights[..., None, :] @ rk)[..., 0, :] - self._u
+        rk = betas @ self._r
+        return (weights.T[..., None] * rk).sum(axis=0) - self._u
 
     def _passes(self, weights, betas) -> np.ndarray:
         """Whether each solution is finite and its residual at most ``_tol``."""
@@ -319,8 +325,8 @@ class AgpSolver:
         about 5e-5 (relative), and one refinement leaves about its square;
         the second brings it to the rounding floor of the residual, at
         which the direct solve also stops (disordered N = 4, p = 4).
-        Every product is formed on its theta's own row, so a solution does
-        not depend on the batch it arrives in.
+        The thetas are one block: each product is a matrix-matrix product
+        over all its rows.
         """
         vt, yt, yu, a, coupling, partner = self._pencil
         t = thetas[:, None] - 0.5
@@ -330,12 +336,12 @@ class AgpSolver:
         diag, off = diag / den, off / den
 
         def apply(z):
-            """V_top (I + t Lambda)^-1 z on each row."""
-            return ((diag * z + off * z[..., partner])[:, None, :] @ vt)[:, 0]
+            """V_top (I + t Lambda)^-1 z for each theta, z one row per theta or one for all."""
+            return (diag * z + off * z[..., partner]) @ vt
 
         beta = apply(yu)
         for _ in range(2):
-            beta = beta - apply((self._residual(weights, beta)[:, None, :] @ yt)[:, 0])
+            beta = beta - apply(self._residual(weights, beta) @ yt)
         return beta
 
     def _gram(self, theta: float) -> np.ndarray:
@@ -365,9 +371,9 @@ class AgpSolver:
     def reduced_batch(self, thetas) -> np.ndarray:
         """Reduced solutions beta(theta) for a vector of theta, one row each.
 
-        Spectral solutions first; a theta whose solution fails the residual
-        check, or every theta when the solver has no factorization, takes
-        the direct path on its own.
+        The thetas are solved as one block.  Spectral solutions first; a
+        theta whose solution fails the residual check, or every theta when
+        the solver has no factorization, takes the direct path on its own.
         """
         thetas = np.asarray(thetas, dtype=float).ravel()
         weights = _endpoint_weights(thetas)

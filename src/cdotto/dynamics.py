@@ -22,17 +22,22 @@ times a real antisymmetric matrix, so its step j is U_{S-1-j}^T: from rho_c
 it ends in V^T rho_c conj(V), V = P_{S-1}, with
 W_0 = -dt Re Tr[V^dagger rho_c^T V M].
 
-The stroke grid is worked through in chunks of K consecutive steps.  Per
-chunk one batched solve serves the reduced coefficients of every midpoint,
-one product with the stack of control operators assembles the K
-Hamiltonians, and one stacked ``eigh`` and one stacked product give the K
-step unitaries; only P <- U P runs step by step, and two products add the
-chunk's terms to M.  K is bounded in bytes, not in steps: the K steps'
-dense matrices and the solver's per-theta vectors, r-long with r its
-reduced coordinates and none of the ansatz size, must fit in
-``CHUNK_BYTES``.  So small spaces take whole strokes in a few chunks, a
-uniform N = 6 stroke takes 15 or 16 steps per chunk and a disordered
-N = 5, p = 3 stroke three.
+The gauge potential does not depend on the state, so its solve runs apart
+from the steps.  The stroke's midpoints are solved in blocks of B
+consecutive thetas from the grid's start, one ``AgpSolver.reduced_batch``
+call each, whose products are matrix-matrix products over the block's
+rows; B depends on r alone (``_solve_rows``), so each theta's block and
+with it its solution's last bits are fixed by (steps, r).  The steps run
+in chunks of K: per chunk one product with the stack of control operators
+assembles the K Hamiltonians from their solutions, and one stacked
+``eigh`` and one stacked product give the K step unitaries; only P <- U P
+runs step by step, and two products add the chunk's terms to M.  K and B
+are bounded in bytes, not in steps: the K steps' dense matrices, and the
+B thetas' r-long work vectors (r the solver's reduced coordinates), must
+each fit in ``CHUNK_BYTES``.  So small spaces take whole strokes in a
+few chunks and blocks, a uniform N = 6, p = 4 stroke (13 orbits) takes
+16 steps per chunk and 315 thetas per block, and a disordered N = 5,
+p = 3 stroke (175 strings) four steps per chunk and 23 thetas per block.
 """
 
 from __future__ import annotations
@@ -64,19 +69,26 @@ CHUNK_BYTES = 1 << 19
 LAYERS = ("solve_s", "assemble_s", "eigh_u_s", "conjugate_s", "trace_s")
 
 
-def _step_bytes(dim: int, r: int) -> int:
-    """Work-array bytes of one step of a chunk in a dim x dim space, with a
-    solver of r reduced coordinates (r = 0 when bare).
+def _step_bytes(dim: int) -> int:
+    """Work-array bytes of one step of a chunk in a dim x dim space.
 
-    About seven complex and two real dim x dim matrices (the Hamiltonian
-    and its parts, the eigenvectors, U, P and its product with dH0/dtheta)
-    and about eight 2r-long vectors of the spectral solve.  Nothing of the
-    ansatz size m counts: the solver forms no m-long array per theta.  No
-    r x r matrix counts either: the spectral solve forms none per theta,
-    and a theta it hands to the direct path is solved on its own, so the
-    one r x r system it holds does not grow with the chunk.
+    About seven complex and two real dim x dim matrices: the Hamiltonian
+    and its parts, the eigenvectors, U, P and its product with dH0/dtheta.
+    Nothing of the solver counts, as its solve runs in blocks of its own
+    (``_solve_rows``).
     """
-    return 8 * (16 * dim * dim + 16 * r)
+    return 8 * 16 * dim * dim
+
+
+def _solve_rows(r: int) -> int:
+    """Thetas per block of a stroke's AGP solve, for a solver of r reduced coordinates.
+
+    The block's work arrays, about sixteen r-long vectors per theta (the
+    2r-long factors of the spectral solve and the three R_k beta of its
+    residual), must fit in ``CHUNK_BYTES``: 23 thetas at r = 175, the whole
+    of a 1000-step stroke at r <= 4.
+    """
+    return max(1, CHUNK_BYTES // (8 * 16 * r))
 
 
 def _re_trace_product(rho: np.ndarray, mat: np.ndarray) -> float:
@@ -230,9 +242,10 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     2^N theta_dot^2 ||beta||^2; uniform and disordered endpoints differ only
     in the size of beta.  The diagnostics carry that norm at the interval
     midpoints for the control-cost quadrature, and the wall time of each
-    layer of the chunked step (``LAYERS``).  The control device's work is
-    the remainder ``w_cd = w_sta - w_0``; the tests check it against an
-    independent quadrature of Tr[rho dH_CD/dt] (``tests/oracles.py``).
+    layer (``LAYERS``): the block solves, then the chunked step.  The
+    control device's work is the remainder ``w_cd = w_sta - w_0``; the
+    tests check it against an independent quadrature of Tr[rho dH_CD/dt]
+    (``tests/oracles.py``).
 
     Given ``reverse_from``, the result's ``reverse`` is the time-reversed
     sweep, theta from 1 to 0, started from that state.  It has no solve,
@@ -282,17 +295,24 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
 
     dim = d0.shape[0]
     prop = np.eye(dim, dtype=complex)
-    r = solver.reduced_stack.shape[0] if solver is not None else 0
-    chunk = max(1, CHUNK_BYTES // _step_bytes(dim, r))
+    chunk = max(1, CHUNK_BYTES // _step_bytes(dim))
     if solver is not None:
+        r = solver.reduced_stack.shape[0]
         stack = space.project(solver.reduced_stack).reshape(r, dim * dim)
+        rows = _solve_rows(r)
+        # blocks of `rows` midpoints from the grid's start, so they depend on
+        # (steps, r) alone; `solved` holds the solved steps not yet stepped
+        blocks = (solver.reduced_batch(grid.theta_mid[b:b + rows]) for b in range(0, steps, rows))
+        solved = np.empty((0, r))
     layer_s = dict.fromkeys(LAYERS, 0.0)
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
         th = grid.theta_mid[start:stop]
         t0 = time.perf_counter()
         if solver is not None:
-            beta = solver.reduced_batch(th)
+            while len(solved) < stop - start:
+                solved = np.concatenate((solved, next(blocks)))
+            beta, solved = solved[:stop - start], solved[stop - start:]
         t1 = time.perf_counter()
         h = d0 + th[:, None, None] * dd
         if solver is not None:

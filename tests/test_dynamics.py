@@ -314,8 +314,7 @@ class TestPropagation:
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", 1 << 40)
         whole = propagate_stroke(rho, params, spec, cd=solvers[0], steps=steps)
 
-        r = solvers[1].reduced_stack.shape[0] if p else 0
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(dim, r))
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(dim))
         chunk_sizes = []
         eigh = np.linalg.eigh
 
@@ -338,6 +337,48 @@ class TestPropagation:
         assert np.abs(chunked.final_state - held(ref.final, kind == "uniform")).max() <= 1e-10
         assert chunked.e_end == pytest.approx(ref.e_end, abs=1e-10)
         assert chunked.w_0 == pytest.approx(ref.w_0, abs=1e-10)
+
+    @pytest.mark.parametrize("kind,p", [("uniform", 3), ("disordered", 2)])
+    def test_one_row_solve_blocks_match_the_default_and_oracle(self, kind, p, monkeypatch):
+        # the default blocks are a full one and a partial one; blocks of one
+        # row cross every boundary of the default blocks and of the chunks
+        params = EndpointParams.uniform(4) if kind == "uniform" else disordered_params(3)
+        n = params.n_sites
+        rho = gibbs_state(h0_at(params, 0.0), 0.2)
+        spec = SweepSpec(1.0)
+        solvers = [AgpSolver(params, build_basis(n, p)) for _ in range(3)]
+        rows = dynamics._solve_rows(solvers[0].reduced_stack.shape[0])
+        steps = max(MIN_STEPS, rows + rows // 2 + 1)
+        assert rows > 1 and steps > rows and steps % rows
+
+        def block_sizes(solver):
+            sizes, batch = [], solver.reduced_batch
+
+            def recording(thetas):
+                sizes.append(len(thetas))
+                return batch(thetas)
+
+            monkeypatch.setattr(solver, "reduced_batch", recording)
+            return sizes
+
+        default_sizes, one_row_sizes = block_sizes(solvers[0]), block_sizes(solvers[1])
+        default = propagate_stroke(rho, params, spec, cd=solvers[0], steps=steps)
+        monkeypatch.setattr(dynamics, "_solve_rows", lambda r: 1)
+        one_row = propagate_stroke(rho, params, spec, cd=solvers[1], steps=steps)
+        assert default_sizes == [rows] * (steps // rows) + [steps % rows]
+        assert one_row_sizes == [1] * steps
+
+        assert np.abs(one_row.final_state - default.final_state).max() <= 1e-12
+        for name in ("e_end", "w_0", "w_cd"):
+            assert getattr(one_row, name) == pytest.approx(getattr(default, name), abs=1e-12)
+        # 2^N theta_dot^2 ||beta||^2 reaches 85 here; a block moves beta in its last bits
+        np.testing.assert_allclose(one_row.diagnostics.hcd_norm_sq,
+                                   default.diagnostics.hcd_norm_sq, rtol=1e-12, atol=1e-12)
+        ref = oracles.dense_stroke(rho.matrix, params, 1.0, steps, solver=solvers[2],
+                                   cd_work=False)
+        assert np.abs(one_row.final_state - held(ref.final, kind == "uniform")).max() <= 1e-10
+        assert one_row.e_end == pytest.approx(ref.e_end, abs=1e-10)
+        assert one_row.w_0 == pytest.approx(ref.w_0, abs=1e-10)
 
     @pytest.mark.parametrize("params,dim", [(EndpointParams.uniform(3), 6),
                                             (disordered_params(3), 8)],
@@ -365,7 +406,7 @@ class TestPropagation:
         # chunks of 7 steps; the eigenvectors of the fifth step of the third
         # chunk (step 19) turn to nan, and so does every later state
         rho = gibbs_state(h0_at(PARAMS2, 0.0), 0.2)
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(4, 0))
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(4))
         calls = []
         eigh = np.linalg.eigh
 

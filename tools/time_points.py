@@ -13,7 +13,10 @@ the order old, new, old, new, ...  Each process has
 PYTHONPATH, makes one warm-up ``run_cycle`` of the point and then K timed
 ones.  Per point and tree the tool prints the minimum and the median wall
 time over the P x K timed runs and the smallest and largest peak RSS
-(``ru_maxrss``) of the P processes.  With ``--steps-per-unit-time`` the
+(``ru_maxrss``) of the P processes, then the median over the same runs
+of each layer of the point's ``diagnostics["layer_s"]`` and of
+``diagnostics["agp_factor_s"]``, in ms, so that a layer claim can be
+read off the same command.  With ``--steps-per-unit-time`` the
 points run at that fixed rate, as ``cdotto run --steps-per-unit-time``
 does; without it they run under the default options, step doubling
 included.
@@ -46,13 +49,14 @@ if index < 0:
 opt = RunOptions() if rate == "default" else RunOptions(steps_per_unit_time=float(rate),
                                                         converge=False)
 run_cycle(configs[index], opt)
-times = []
+times, layers = [], []
 for _ in range(repeats):
     t0 = time.perf_counter()
-    run_cycle(configs[index], opt)
+    diag = run_cycle(configs[index], opt).diagnostics
     times.append(time.perf_counter() - t0)
+    layers.append(dict(diag["layer_s"], agp_factor_s=diag["agp_factor_s"]))
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"times": times, "rss_mb": rss_mb}))
+print(json.dumps({"times": times, "layers": layers, "rss_mb": rss_mb}))
 """
 
 
@@ -96,6 +100,10 @@ def main() -> int:
                     print(f"  {tree}: min {min(times):.3f} s  median "
                           f"{statistics.median(times):.3f} s  peak RSS "
                           f"{min(rss):.1f}-{max(rss):.1f} MB", flush=True)
+                    layers = [layer for r in results for layer in r["layers"]]
+                    print("    median ms: " + "  ".join(
+                        f"{name} {1e3 * statistics.median(layer[name] for layer in layers):.1f}"
+                        for name in layers[0]), flush=True)
     return 0
 
 
