@@ -47,6 +47,9 @@ class CycleConfig:
     label: str = ""
 
     def __post_init__(self):
+        for name in ("Tc", "Th", "tau1", "tau2", "tau3", "tau4", "nu"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.Tc < self.Th:
             raise DomainError(f"need 0 < Tc < Th, got Tc={self.Tc}, Th={self.Th}")
         for name in ("tau1", "tau2", "tau3", "tau4"):

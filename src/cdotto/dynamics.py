@@ -17,10 +17,10 @@ state: with c the trapezoid weights and D the trace weights, W_0 is
 dt Re Tr[rho_0 M], M = sum_k c_k theta_dot_k P_{k-1}^dagger D dH0/dtheta
 P_{k-1} (P_{-1} = I).  The loop only sweeps theta from 0 to 1
 (``SweepSpec``); the compression stroke is the time reverse of a sweep of S
-steps, theta(tau - t).  H0 is real and the control term is i theta_dot
-times a real antisymmetric matrix, so its step j is U_{S-1-j}^T: from rho_c
-it ends in V^T rho_c conj(V), V = P_{S-1}, with
-W_0 = -dt Re Tr[V^dagger rho_c^T V M].
+steps, theta(tau - t).  H0 and the Gibbs states are real (``to_dense``
+realizes real operators only), and the control term is i theta_dot times a
+real antisymmetric matrix, so its step j is U_{S-1-j}^T: from rho_c it ends
+in V^T rho_c conj(V), V = P_{S-1}, with W_0 = -dt Re Tr[V^dagger rho_c^T V M].
 
 The gauge potential does not depend on the state, so its solve runs apart
 from the steps.  The stroke's midpoints are solved in blocks of B
@@ -144,18 +144,18 @@ def check_state(m: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated working-medium state: Hermitian, unit trace, positive."""
+    """Validated working-medium state: Hermitian, unit trace, positive; a real state stays real."""
 
     n_sites: int
     matrix: np.ndarray
 
     def __post_init__(self):
         dim = 2 ** self.n_sites
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        m = m.astype(np.promote_types(m.dtype, float))
         if m.shape != (dim, dim):
             raise DimensionError(f"matrix shape {m.shape} does not match {self.n_sites} sites")
         check_state(m, np.ones(dim))
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -163,9 +163,9 @@ class DensityMatrix:
 def thermal_state(h: OperatorSum, temperature: float) -> tuple[np.ndarray, np.ndarray, DensityMatrix]:
     """The spectrum of H, its Boltzmann populations and the Gibbs state exp(-H/T)/Z.
 
-    One ``eigh`` of the dense H gives all three: the eigenvalues in
+    One ``eigh`` of the real dense H gives all three: the eigenvalues in
     ascending order, their populations exp(-E/T)/Z with the exponents
-    shifted by the lowest energy to avoid overflow, and the state built
+    shifted by the lowest energy to avoid overflow, and the real state built
     from the eigenvectors, which commutes with H by construction and is
     validated as a ``DensityMatrix``.  The dense H lives only through the
     ``eigh`` call, and the eigenvectors and the unsymmetrized state are
@@ -178,9 +178,9 @@ def thermal_state(h: OperatorSum, temperature: float) -> tuple[np.ndarray, np.nd
     energies, vecs = np.linalg.eigh(to_dense(h))
     populations = np.exp(-(energies - energies.min()) / temperature)
     populations /= populations.sum()
-    rho = (vecs * populations) @ vecs.conj().T
+    rho = (vecs * populations) @ vecs.T
     del vecs
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = 0.5 * (rho + rho.T)
     return energies, populations, DensityMatrix(h.n_sites, rho)
 
 
@@ -273,9 +273,8 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
     grid = sweep.grid(steps)
 
     space = _stroke_space(params, *(rho.matrix for rho in starts))
-    # h0 coefficients are real, so both generators are real symmetric
-    d0 = np.ascontiguousarray(space.project(to_dense(h0_at(params, 0.0)).real))
-    dd = np.ascontiguousarray(space.project(to_dense(dh0_dtheta(params)).real))
+    d0 = np.ascontiguousarray(space.project(to_dense(h0_at(params, 0.0))))
+    dd = np.ascontiguousarray(space.project(to_dense(dh0_dtheta(params))))
 
     def solver_counts():
         """The solver's (fallbacks, direct solves) so far."""

@@ -34,6 +34,8 @@ def _as_field(values, n: int, name: str) -> np.ndarray:
         arr = np.full(n, float(arr))
     if arr.shape != (n,):
         raise DimensionError(f"{name} must have length {n}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite, got {arr}")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -185,8 +187,8 @@ class SweepSpec:
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise DomainError("stroke duration must be positive")
+        if not 0 < self.duration < np.inf:
+            raise DomainError(f"stroke duration must be positive and finite, got {self.duration}")
 
     def grid(self, steps: int) -> StrokeGrid:
         """Evaluate the profile on a uniform grid."""

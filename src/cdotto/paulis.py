@@ -3,8 +3,8 @@
 Operators live as maps from letter patterns (tuples such as
 ``('X', 'I', 'Z')``) to complex coefficients.  The product of two Pauli
 strings is a phase times a string, so commutators are computed term by
-term without any dense matrix; dense realizations are built on demand for
-propagation and thermal states.
+term without any dense matrix; the dense realizations that propagation and
+thermal states need are real, as the medium's operators are.
 
 Bulk work runs on the binary symplectic form of the strings (Aaronson &
 Gottesman, PRA 70, 052328 (2004)): a pattern is i^{#Y} X^x Z^z for bit
@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError
+from .errors import CapacityError, DimensionError, DomainError
 
 #: Coefficients at or below this magnitude are dropped from canonical forms.
 PRUNE_TOL = 1e-14
@@ -213,9 +213,8 @@ def dense_strings(n_sites: int, x: np.ndarray, z: np.ndarray, weights: np.ndarra
 
     Each string is a signed permutation, so its 2^N entries are scattered
     straight into place; every entry sums its strings in their given order.
-    The phases i^{#Y} are the caller's to fold into ``weights``.  Real
-    weights give a real (n_slots, 2^N, 2^N) array, complex weights a
-    complex one.
+    The phases i^{#Y} are the caller's to fold into the real ``weights``;
+    the result is a real (n_slots, 2^N, 2^N) array.
 
     A slot of one string sums nothing, so all such slots are placed in one
     scatter, as 0.0 + value, which is what a sum from zero gives.  The
@@ -225,7 +224,7 @@ def dense_strings(n_sites: int, x: np.ndarray, z: np.ndarray, weights: np.ndarra
     dim = 1 << n_sites
     slot = np.zeros(len(x), dtype=np.int64) if slots is None else np.asarray(slots)
     counts = np.bincount(slot, minlength=n_slots)
-    out = np.empty((n_slots, dim, dim), dtype=complex if np.iscomplexobj(weights) else float)
+    out = np.empty((n_slots, dim, dim))
     out[counts <= 1] = 0
     j = np.arange(dim)
 
@@ -241,21 +240,21 @@ def dense_strings(n_sites: int, x: np.ndarray, z: np.ndarray, weights: np.ndarra
     starts = np.searchsorted(slot[order], np.arange(n_slots + 1))
     for k in np.flatnonzero(counts > 1):
         flat, vals = (a.ravel() for a in scatter(order[starts[k]:starts[k + 1]]))
-        block = out[k].reshape(-1)
-        if np.iscomplexobj(vals):
-            block.real = np.bincount(flat, vals.real, block.size)
-            block.imag = np.bincount(flat, vals.imag, block.size)
-        else:
-            block[:] = np.bincount(flat, vals, block.size)
+        out[k] = np.bincount(flat, vals, dim * dim).reshape(dim, dim)
     return out
 
 
 def to_dense(a: OperatorSum) -> np.ndarray:
-    """Dense 2^N x 2^N realization; Hermitian when coefficients are real."""
+    """Real 2^N x 2^N realization, symmetric for real coefficients.
+
+    ``DomainError`` unless every weight, coefficient times i^{#Y}, is real.
+    """
     if a.n_sites > DENSE_SITE_CAP:
         raise CapacityError(
             f"dense realization of {a.n_sites} sites exceeds cap of {DENSE_SITE_CAP}"
         )
     x, z = pauli_masks(a.terms, a.n_sites)
-    coeffs = np.array(list(a.terms.values()), dtype=complex)
-    return dense_strings(a.n_sites, x, z, coeffs * string_phases(x, z))[0]
+    weights = np.array(list(a.terms.values()), dtype=complex) * string_phases(x, z)
+    if weights.imag.any():
+        raise DomainError(f"{a!r} has a complex weight; only real operators are realized")
+    return dense_strings(a.n_sites, x, z, weights.real)[0]

@@ -45,6 +45,12 @@ class TestConfig:
             uniform_cfg(1, 1, nu=-1.0)
         assert uniform_cfg(1, 1, nu=0.0).nu == 0.0
 
+    @pytest.mark.parametrize("name", ["Tc", "Th", "tau1", "tau2", "tau3", "tau4", "nu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            CycleConfig(params=EndpointParams.uniform(1), **{name: value})
+
     def test_order_above_site_count_is_clamped(self):
         cfg = uniform_cfg(2, 4)
         assert cfg.effective_p == 2

@@ -7,9 +7,10 @@ import oracles
 from cdotto import dynamics
 from cdotto.agp import AgpSolver, build_basis
 from cdotto.collective import CollectiveBasis, collective_basis
-from cdotto.dynamics import MIN_STEPS, DensityMatrix, check_state, gibbs_state, propagate_stroke
+from cdotto.dynamics import (MIN_STEPS, DensityMatrix, check_state, gibbs_state,
+                             propagate_stroke, thermal_state)
 from cdotto.errors import DimensionError, DomainError, NumericalError
-from cdotto.model import EndpointParams, SweepSpec, h0_at
+from cdotto.model import EndpointParams, SweepSpec, dh0_dtheta, h0_at, pair_index
 from cdotto.paulis import OperatorSum, to_dense
 
 from test_model import disordered_params
@@ -87,6 +88,16 @@ class TestDensityMatrix:
         with pytest.raises(DimensionError, match=r"shape \(2, 2\) does not match 2 sites"):
             DensityMatrix(2, 0.5 * np.eye(2, dtype=complex))
 
+    def test_keeps_a_real_state_real(self):
+        # float stays float, int becomes float, complex stays complex; always a copy
+        for given, dtype in ((np.eye(2) / 2, np.float64), (np.diag([1, 0]), np.float64),
+                             (np.eye(2, dtype=complex) / 2, np.complex128)):
+            rho = DensityMatrix(1, given)
+            assert rho.matrix.dtype == dtype
+            assert not np.shares_memory(rho.matrix, given)
+            assert not rho.matrix.flags.writeable
+            np.testing.assert_array_equal(rho.matrix, given)
+
     def test_weighted_trace_and_purity(self):
         assert check_state(0.5 * np.eye(2, dtype=complex), np.ones(2)) == (1.0, 0.5)
         # one block of multiplicity 2 carrying half the trace, and one of 1
@@ -163,6 +174,25 @@ class TestGibbs:
     def test_temperature_domain(self):
         with pytest.raises(DomainError):
             gibbs_state(h0_at(PARAMS1, 0.0), 0.0)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "disordered"])
+    def test_the_medium_is_real(self, n, uniform):
+        # H0, dH0/dtheta and the Gibbs state are float64 all the way through
+        p = EndpointParams.uniform(n) if uniform else disordered_params(n)
+
+        def ising(h, b, j):
+            return oracles.dense_ising(n, h, b, dict(zip(pair_index(n), j)))
+
+        theta = 0.37
+        at_theta = ising(*(a + (f - a) * theta for a, f in
+                           ((p.h_i, p.h_f), (p.b_i, p.b_f), (p.j_i, p.j_f))))
+        slope = ising(p.h_f - p.h_i, p.b_f - p.b_i, p.j_f - p.j_i)
+        for op, want in ((h0_at(p, theta), at_theta), (dh0_dtheta(p), slope)):
+            dense = to_dense(op)
+            assert dense.dtype == np.float64
+            np.testing.assert_allclose(dense, want, rtol=0, atol=1e-14)
+        assert thermal_state(h0_at(p, 0.0), 0.2)[2].matrix.dtype == np.float64
 
 
 class TestExpectation:

@@ -95,6 +95,15 @@ class TestEndpointParams:
             EndpointParams(h_i=[0.2, 0.2], b_i=[0.0], j_i=[0.0],
                            h_f=[0.0, 0.0], b_f=[0.5, 0.5], j_f=[0.1])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, value):
+        # a NaN field would also break the solver's equality check, as NaN != NaN
+        with pytest.raises(DomainError, match="b_f must be finite"):
+            EndpointParams(h_i=[0.2, 0.2], b_i=[0.0, 0.0], j_i=[0.0],
+                           h_f=[0.0, 0.0], b_f=[0.5, value], j_f=[0.1])
+        with pytest.raises(DomainError, match="j_i must be finite"):
+            EndpointParams.uniform(2, j_i=value)
+
     def test_equality(self):
         assert EndpointParams.uniform(3) == EndpointParams.uniform(3)
         assert EndpointParams.uniform(3) != EndpointParams.uniform(3, h_i=0.3)
@@ -183,6 +192,11 @@ class TestSweepSpec:
     def test_duration_validation(self):
         with pytest.raises(DomainError):
             SweepSpec(0.0)
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(DomainError, match="positive and finite"):
+            SweepSpec(duration)
 
     def test_forward_grid_endpoints(self):
         grid = SweepSpec(2.0).grid(100)

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from cdotto.agp import build_basis
-from cdotto.errors import CapacityError, DimensionError
+from cdotto.errors import CapacityError, DimensionError, DomainError
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
 from cdotto.paulis import OperatorSum, commutator, i_commutator_table, pauli_masks, to_dense
 from oracles import hs_inner
@@ -42,12 +42,18 @@ class TestOperatorSum:
             OperatorSum(1, {("X", "I"): 1.0})
 
     def test_hermitian_iff_real_coefficients(self):
+        # through the Kronecker oracle: to_dense realizes real matrices only,
+        # and a real multiple of an odd-Y string is Hermitian but not real
         def hermitian(op):
-            dense = to_dense(op)
+            dense = oracles.dense_operator(op.n_sites, op.terms)
             return np.abs(dense - dense.conj().T).max() < 1e-14
 
-        assert hermitian(OperatorSum(1, {("X",): 1.0, ("Z",): -0.3}))
+        rng = np.random.default_rng(23)
+        op = OperatorSum(3, {random_letters(rng, 3): rng.standard_normal() for _ in range(6)})
+        assert hermitian(op)
+        assert hermitian(OperatorSum(1, {("X",): 1.0, ("Y",): 0.7, ("Z",): -0.3}))
         assert not hermitian(OperatorSum(1, {("X",): 1.0j}))
+        assert not hermitian(OperatorSum(2, {("X", "Y"): 1.0, ("Z", "I"): 0.5 + 0.5j}))
 
 
 class TestCommutator:
@@ -213,12 +219,22 @@ class TestToDense:
         )
 
     def test_matches_kronecker_sums_bitwise(self):
+        # real operators on all four letters: a string with an odd number of
+        # Y has an imaginary matrix, so its coefficient is imaginary
         rng = np.random.default_rng(19)
+        seen = set()
         for n in range(1, 6):
             for _ in range(4):
-                op = OperatorSum(n, {random_letters(rng, n): complex(*rng.standard_normal(2))
-                                     for _ in range(6)})
-                np.testing.assert_array_equal(to_dense(op), oracles.dense_operator(n, op.terms))
+                terms = {}
+                for _ in range(6):
+                    letters = random_letters(rng, n)
+                    terms[letters] = rng.standard_normal() * 1j ** (letters.count("Y") % 2)
+                    seen.update(letters)
+                op = OperatorSum(n, terms)
+                dense, oracle = to_dense(op), oracles.dense_operator(n, op.terms)
+                assert dense.dtype == np.float64 and not oracle.imag.any()
+                np.testing.assert_array_equal(dense, oracle.real)
+        assert seen == {"I", "X", "Y", "Z"}
         np.testing.assert_array_equal(to_dense(OperatorSum(2)), np.zeros((4, 4)))
 
     def test_site_cap(self):
@@ -227,8 +243,17 @@ class TestToDense:
             to_dense(op)
 
     def test_hermitian_for_real_coefficients(self):
+        # real coefficients on strings of an even number of Y realize as
+        # real symmetric matrices; any complex weight is refused
         rng = np.random.default_rng(17)
-        op = OperatorSum(3, {random_letters(rng, 3): rng.standard_normal()
-                             for _ in range(5)})
-        dense = to_dense(op)
-        assert np.abs(dense - dense.conj().T).max() < 1e-14
+        terms = {}
+        while len(terms) < 5:
+            letters = random_letters(rng, 3)
+            if letters.count("Y") % 2 == 0:
+                terms[letters] = rng.standard_normal()
+        dense = to_dense(OperatorSum(3, terms))
+        assert np.abs(dense - dense.T).max() < 1e-14
+        with pytest.raises(DomainError, match="complex weight"):
+            to_dense(OperatorSum(2, {("Y", "Z"): 0.4, ("X", "I"): 1.0}))
+        with pytest.raises(DomainError, match="complex weight"):
+            to_dense(OperatorSum(1, {("X",): 1.0 + 0.5j}))
