@@ -1,9 +1,10 @@
 """Unitary stroke propagation, thermal states and observables.
 
 The propagator is the midpoint exponential: per step the full Hamiltonian
-(medium plus control) is frozen at the interval midpoint and exponentiated
-exactly, U_k = exp(-i H(t_k + dt/2) dt), which keeps every step exactly
-unitary so trace and purity are conserved to roundoff.  hbar = 1.
+(medium plus control) is frozen at the interval midpoint and exponentiated,
+U_k = exp(-i H(t_k + dt/2) dt), by a Taylor series whose dropped tail is
+below unit roundoff (``_step_unitaries``), so every step is unitary and
+trace and purity are conserved to roundoff.  hbar = 1.
 
 A stroke steps in the smallest space its data allows.  With uniform
 endpoints H0, the orbit-summed control term and a permutation-symmetric
@@ -29,19 +30,20 @@ call each, whose products are matrix-matrix products over the block's
 rows; B depends on r alone (``_solve_rows``), so each theta's block and
 with it its solution's last bits are fixed by (steps, r).  The steps run
 in chunks of K: per chunk one product with the stack of control operators
-assembles the K Hamiltonians from their solutions, and one stacked
-``eigh`` and one stacked product give the K step unitaries; only P <- U P
-runs step by step, and two products add the chunk's terms to M.  K and B
-are bounded in bytes, not in steps: the K steps' dense matrices, and the
-B thetas' r-long work vectors (r the solver's reduced coordinates), must
-each fit in ``CHUNK_BYTES``.  So small spaces take whole strokes in a
+assembles the K Hamiltonians from their solutions, and one
+``_step_unitaries`` call, stacked matrix products only, gives the K step
+unitaries; only P <- U P runs step by step, and two products add the
+chunk's terms to M.  K and B are bounded in bytes, not in steps: the K
+steps' dense matrices, and the B thetas' r-long work vectors (r the
+solver's reduced coordinates), must each fit in ``CHUNK_BYTES``.  So small spaces take whole strokes in a
 few chunks and blocks, a uniform N = 6, p = 4 stroke (13 orbits) takes
-16 steps per chunk and 315 thetas per block, and a disordered N = 5,
+18 steps per chunk and 315 thetas per block, and a disordered N = 5,
 p = 3 stroke (175 strings) four steps per chunk and 23 thetas per block.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -66,18 +68,65 @@ CHUNK_BYTES = 1 << 19
 
 #: the layers of a stroke whose wall time the diagnostics report, in step order;
 #: ``conjugate_s`` is the product P <- U P and ``trace_s`` the sum M
-LAYERS = ("solve_s", "assemble_s", "eigh_u_s", "conjugate_s", "trace_s")
+LAYERS = ("solve_s", "assemble_s", "step_u_s", "conjugate_s", "trace_s")
 
 
 def _step_bytes(dim: int) -> int:
     """Work-array bytes of one step of a chunk in a dim x dim space.
 
-    About seven complex and two real dim x dim matrices: the Hamiltonian
-    and its parts, the eigenvectors, U, P and its product with dH0/dtheta.
-    Nothing of the solver counts, as its solve runs in blocks of its own
-    (``_solve_rows``).
+    Seven complex dim x dim matrices, the most that live at once: in
+    ``_step_unitaries``, the Hamiltonian, the powers X .. X^q (q = 4 at the
+    largest degree, m = 15), the running sum and either its product with
+    X^q or one coefficient block.  A chunk drops its arrays at its end, so
+    none of them meets the next chunk's powers; its assembly before the
+    step unitaries and its products after them hold fewer.  Nothing of the
+    solver counts, as its solve runs in blocks of its own (``_solve_rows``).
     """
-    return 8 * 16 * dim * dim
+    return 7 * 16 * dim * dim
+
+
+def _step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
+    """The step unitaries exp(-i dt H_k) of a (K, d, d) stack of Hamiltonians.
+
+    A truncated Taylor series with scaling and squaring, made of matrix
+    products only: with nu the stack's largest 1-norm of dt H_k, X = -i dt
+    H_k / 2^s for the smallest s with nu / 2^s <= 1/2, and m the smallest
+    degree whose term bound (nu / 2^s)^(m+1) / (m+1)! is at most 2^-56, the
+    degree-m polynomial of X is summed by Paterson-Stockmeyer and squared s
+    times.  With the powers X .. X^q, q = isqrt(m) + 1, Horner in X^q runs
+    over the r + 1 = m // q + 1 coefficient blocks sum_{i<q} X^i / (jq+i)!,
+    each one ``tensordot`` of the powers.  The dropped tail is below
+    1.2 * 2^-56 before the squarings, and p(X)^T = p(X^T), so the stack of
+    the H_k^T gives the transposed unitaries.  Steps with non-finite
+    entries do not enter nu and come out non-finite.
+    """
+    norms = np.abs(h).sum(axis=1).max(axis=1)
+    nu = dt * float(np.max(norms, initial=0.0, where=np.isfinite(norms)))
+    s = 0
+    while nu > 0.5:
+        nu, s = 0.5 * nu, s + 1
+    m, term = 0, nu
+    while term > 2.0 ** -56:
+        m, term = m + 1, term * nu / (m + 2)
+    q = math.isqrt(m) + 1
+    r = m // q
+    coef = np.zeros((r + 1) * q)
+    coef[:m + 1] = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, m + 1)])
+    coef = coef.reshape(r + 1, q)
+    k, d = h.shape[:2]
+    powers = np.empty((q, k, d, d), dtype=complex)
+    np.multiply(h, -1j * dt * 0.5 ** s, out=powers[0])
+    for j in range(1, q):
+        np.matmul(powers[j - 1], powers[0], out=powers[j])
+    u = np.zeros((k, d, d), dtype=complex)
+    for j in range(r, -1, -1):
+        if j < r:
+            u = u @ powers[q - 1]
+        u += np.tensordot(coef[j, 1:], powers[:q - 1], 1)
+        u.reshape(k, d * d)[:, ::d + 1] += coef[j, 0]
+    for _ in range(s):
+        u = u @ u
+    return u
 
 
 def _solve_rows(r: int) -> int:
@@ -249,7 +298,7 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
 
     Given ``reverse_from``, the result's ``reverse`` is the time-reversed
     sweep, theta from 1 to 0, started from that state.  It has no solve,
-    assembly or ``eigh`` of its own (module docstring): its control norms
+    assembly or exponential of its own (module docstring): its control norms
     are the forward ones reversed, and it reports no fallbacks, direct solves
     or layer time, which stay with the forward result.
     The generators and states are projected once onto the stroke's space,
@@ -322,8 +371,7 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
             h_cd.imag = (td[:, None] * (beta @ stack)).reshape(h.shape)
             h = h_cd
         t2 = time.perf_counter()
-        energies, vecs = np.linalg.eigh(h)
-        u = (vecs * np.exp((-1j * dt) * energies)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        u = _step_unitaries(h, dt)
         t3 = time.perf_counter()
         props = np.empty(u.shape, dtype=complex)
         for j in range(stop - start):
@@ -335,6 +383,8 @@ def propagate_stroke(rho0: DensityMatrix, params: EndpointParams, sweep: SweepSp
         t4 = time.perf_counter()
         weighted = (rates[start + 1:stop + 1, None, None] * (ddw @ props)).reshape(-1, dim)
         m_sum += props.reshape(-1, dim).conj().T @ weighted
+        # freed before the next chunk's Taylor powers are made (``_step_bytes``)
+        del h, u, props, weighted
         t5 = time.perf_counter()
         for name, elapsed in zip(LAYERS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
             layer_s[name] += elapsed

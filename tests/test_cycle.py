@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cdotto import agp, cycle
+from cdotto import agp, cycle, dynamics
 from cdotto.agp import AgpSolver, build_basis
 from cdotto.cycle import (
     CycleConfig,
@@ -95,19 +95,18 @@ class TestRunCycle:
         # unitaries: one pass solves and exponentiates steps1 midpoints
         cfg = CycleConfig(params=EndpointParams.uniform(2), p=2, tau1=1.0, tau3=tau3)
         solved, exponentiated = [], []
-        reduced_batch, eigh = AgpSolver.reduced_batch, np.linalg.eigh
+        reduced_batch, step_unitaries = AgpSolver.reduced_batch, dynamics._step_unitaries
 
         def counting_batch(self, thetas):
             solved.extend(thetas)
             return reduced_batch(self, thetas)
 
-        def counting_eigh(h):
-            if h.ndim == 3:  # the strokes' stacked calls, not the dense states'
-                exponentiated.append(len(h))
-            return eigh(h)
+        def counting_step_unitaries(h, dt):
+            exponentiated.append(len(h))
+            return step_unitaries(h, dt)
 
         monkeypatch.setattr(AgpSolver, "reduced_batch", counting_batch)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(dynamics, "_step_unitaries", counting_step_unitaries)
         rep = run_cycle(cfg, FAST)
         steps1, steps3 = FAST.stroke_steps(cfg.tau1), FAST.stroke_steps(tau3)
         assert rep.steps == steps1 + steps3

@@ -213,6 +213,66 @@ class TestExpectation:
         assert res.e_start == -0.5
 
 
+def _hermitian_stack(rng, k, dim, complex_h):
+    """k random Hermitian dim x dim matrices, real symmetric unless complex_h."""
+    a = rng.standard_normal((k, dim, dim))
+    if complex_h:
+        a = a + 1j * rng.standard_normal((k, dim, dim))
+    return a + a.conj().transpose(0, 2, 1)
+
+
+def _spectral_unitaries(h, dt):
+    """exp(-i dt H_k) from the eigendecomposition of each H_k."""
+    energies, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * dt * energies)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+
+
+class TestStepUnitaries:
+    """``_step_unitaries`` against the spectral exponential, over degrees and scalings."""
+
+    # nu, the stack's largest 1-norm of dt H_k: degree 2 up to scaling by 2^4
+    NUS = [1e-6, 1e-3, 0.02, 0.3, 0.5, 1.7, 8.0]
+
+    @pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 33])
+    def test_matches_spectral_exponential_and_is_unitary(self, dim, complex_h):
+        rng = np.random.default_rng(dim + 100 * complex_h)
+        for nu in self.NUS:
+            h = _hermitian_stack(rng, 3, dim, complex_h)
+            dt = nu / np.abs(h).sum(axis=1).max()
+            u = dynamics._step_unitaries(h, dt)
+            assert u.shape == h.shape and u.dtype == complex
+            assert np.abs(u - _spectral_unitaries(h, dt)).max() <= 1e-13
+            assert np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(dim)).max() <= 1e-14
+            # the transposed Hamiltonians give the transposed unitaries
+            transposed = dynamics._step_unitaries(h.conj(), dt)
+            assert np.abs(transposed - u.transpose(0, 2, 1)).max() <= 1e-14
+
+    @pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
+    def test_step_does_not_depend_on_its_chunk(self, complex_h):
+        # the chunk's largest norm sets the degree and the scaling; step 5
+        # has the smallest norm of its chunk of 16
+        rng = np.random.default_rng(7)
+        h = _hermitian_stack(rng, 16, 9, complex_h)
+        h[5] *= 0.01
+        for nu in (0.05, 4.0):
+            dt = nu / np.abs(h).sum(axis=1).max()
+            alone = dynamics._step_unitaries(h[5:6], dt)
+            assert np.abs(dynamics._step_unitaries(h, dt)[5] - alone[0]).max() <= 1e-14
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_step_stays_in_its_step(self, bad):
+        rng = np.random.default_rng(11)
+        h = _hermitian_stack(rng, 4, 6, True)
+        dt = 0.05 / np.abs(h).sum(axis=1).max()
+        bad_h = h.copy()
+        bad_h[2, 0, 1] = bad
+        u = dynamics._step_unitaries(bad_h, dt)
+        assert not np.isfinite(u[2]).all()
+        np.testing.assert_array_equal(u[[0, 1, 3]], dynamics._step_unitaries(h[[0, 1, 3]], dt))
+
+
 class TestPropagation:
     def test_constant_hamiltonian_is_a_no_op(self):
         rho = gibbs_state(h0_at(CONSTANT2, 0.0), 0.2)
@@ -346,15 +406,15 @@ class TestPropagation:
 
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(dim))
         chunk_sizes = []
-        eigh = np.linalg.eigh
+        step_unitaries = dynamics._step_unitaries
 
-        def counting_eigh(h):
+        def counting_step_unitaries(h, dt):
             chunk_sizes.append(len(h))
-            return eigh(h)
+            return step_unitaries(h, dt)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(dynamics, "_step_unitaries", counting_step_unitaries)
         chunked = propagate_stroke(rho, params, spec, cd=solvers[1], steps=steps)
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(dynamics, "_step_unitaries", step_unitaries)
         assert chunk_sizes == [7] * (steps // 7) + [steps % 7]
 
         assert np.abs(chunked.final_state - whole.final_state).max() <= 1e-12
@@ -414,44 +474,62 @@ class TestPropagation:
                                             (disordered_params(3), 8)],
                              ids=["collective", "full"])
     def test_final_state_check_fires_in_the_stroke_space(self, params, dim, monkeypatch):
-        # eigenvectors stretched by 1.01 make every step unitary 1.0201 times
-        # too long, so the final state's trace is far from 1
+        # every step unitary stretched by 1.0201 = 1.01^2, so the final
+        # state's trace is far from 1
         rho = gibbs_state(h0_at(params, 0.0), 0.2)
         sizes = []
-        eigh = np.linalg.eigh
+        step_unitaries = dynamics._step_unitaries
 
-        def stretching_eigh(h):
-            energies, vecs = eigh(h)
-            if h.ndim == 3:  # the stroke's stacked calls
-                sizes.append(h.shape[-1])
-                vecs = vecs * 1.01
-            return energies, vecs
+        def stretching_step_unitaries(h, dt):
+            sizes.append(h.shape[-1])
+            return step_unitaries(h, dt) * 1.0201
 
-        monkeypatch.setattr(np.linalg, "eigh", stretching_eigh)
+        monkeypatch.setattr(dynamics, "_step_unitaries", stretching_step_unitaries)
         with pytest.raises(DomainError, match="trace"):
             propagate_stroke(rho, params, SweepSpec(1.0), steps=MIN_STEPS)
         assert set(sizes) == {dim}
 
     def test_non_finite_state_names_first_bad_step(self, monkeypatch):
-        # chunks of 7 steps; the eigenvectors of the fifth step of the third
-        # chunk (step 19) turn to nan, and so does every later state
+        # chunks of 7 steps; the unitary of the fifth step of the third
+        # chunk (step 19) turns to nan, and so does every later state
         rho = gibbs_state(h0_at(PARAMS2, 0.0), 0.2)
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(4))
         calls = []
-        eigh = np.linalg.eigh
+        step_unitaries = dynamics._step_unitaries
 
-        def failing_eigh(h):
-            energies, vecs = eigh(h)
-            if h.ndim == 3:  # the stroke's stacked calls
-                calls.append(len(h))
-                if len(calls) == 3:
-                    vecs[4] = np.nan
-            return energies, vecs
+        def failing_step_unitaries(h, dt):
+            u = step_unitaries(h, dt)
+            calls.append(len(h))
+            if len(calls) == 3:
+                u[4] = np.nan
+            return u
 
-        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        monkeypatch.setattr(dynamics, "_step_unitaries", failing_step_unitaries)
         with pytest.raises(NumericalError, match=r"non-finite state at step 19 of 200$"):
             propagate_stroke(rho, PARAMS2, SweepSpec(1.0), steps=200)
         assert calls == [7, 7, 7]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_hamiltonian_names_first_bad_step(self, bad, monkeypatch):
+        # chunks of 7 steps; one entry of the third step of the second chunk's
+        # Hamiltonian (step 10) is made non-finite before it is exponentiated
+        rho = gibbs_state(h0_at(PARAMS2, 0.0), 0.2)
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * dynamics._step_bytes(4))
+        calls = []
+        step_unitaries = dynamics._step_unitaries
+
+        def corrupting_step_unitaries(h, dt):
+            calls.append(len(h))
+            if len(calls) == 2:
+                h = h.copy()
+                h[2, 1, 3] = bad
+            return step_unitaries(h, dt)
+
+        monkeypatch.setattr(dynamics, "_step_unitaries", corrupting_step_unitaries)
+        with pytest.raises(NumericalError, match=r"non-finite state at step 10 of 200$"):
+            propagate_stroke(rho, PARAMS2, SweepSpec(1.0), steps=200)
+        assert calls == [7, 7]
 
     @pytest.mark.parametrize("params,p", [
         pytest.param(EndpointParams.uniform(4), 2, id="uniform-N4-p2"),
