@@ -35,10 +35,11 @@ assembles the K Hamiltonians from their solutions, and one
 unitaries; only P <- U P runs step by step, and two products add the
 chunk's terms to M.  K and B are bounded in bytes, not in steps: the K
 steps' dense matrices, and the B thetas' r-long work vectors (r the
-solver's reduced coordinates), must each fit in ``CHUNK_BYTES``.  So small spaces take whole strokes in a
-few chunks and blocks, a uniform N = 6, p = 4 stroke (13 orbits) takes
-18 steps per chunk and 315 thetas per block, and a disordered N = 5,
-p = 3 stroke (175 strings) four steps per chunk and 23 thetas per block.
+solver's reduced coordinates), must each fit in ``CHUNK_BYTES``.  So
+small spaces take whole strokes in a few chunks and blocks, a uniform
+N = 6, p = 4 stroke (13 orbits) takes 18 steps per chunk and 315 thetas
+per block, and a disordered N = 5, p = 3 stroke (175 strings) four steps
+per chunk and 23 thetas per block.
 """
 
 from __future__ import annotations

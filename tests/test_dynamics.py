@@ -1,5 +1,7 @@
 """Thermal states, stroke propagation and the work split."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,22 @@ class TestStepUnitaries:
             dt = nu / np.abs(h).sum(axis=1).max()
             alone = dynamics._step_unitaries(h[5:6], dt)
             assert np.abs(dynamics._step_unitaries(h, dt)[5] - alone[0]).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim", [16, 32])
+    def test_work_arrays_fit_the_chunk_budget(self, dim):
+        # a chunk of complex Hamiltonians and the series' work arrays, at
+        # every degree and scaling, fit in CHUNK_BYTES (``_step_bytes``)
+        k = dynamics.CHUNK_BYTES // dynamics._step_bytes(dim)
+        h = _hermitian_stack(np.random.default_rng(dim), k, dim, True)
+        for nu in self.NUS:
+            dt = nu / np.abs(h).sum(axis=1).max()
+            tracemalloc.start()
+            try:
+                dynamics._step_unitaries(h, dt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert h.nbytes + peak <= dynamics.CHUNK_BYTES
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
