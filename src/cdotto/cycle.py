@@ -83,7 +83,8 @@ class RunOptions:
     """Numerical knobs for cycle runs.
 
     The step count s per stroke is ``steps_per_unit_time * tau`` rounded up
-    and clipped to ``[min_steps, max_steps]``, with or without ``converge``.
+    and clipped to ``[min_steps, max_steps]``, with or without ``converge``;
+    the rate must be finite and positive, and 1 <= min_steps <= max_steps.
     With ``converge=True`` the cycle runs passes of s // 2, s, 2 s, ... up
     to ``MAX_DOUBLINGS`` doublings of the first (the s // 2 pass is skipped
     where it falls below ``dynamics.MIN_STEPS``) and stops at the first pass
@@ -97,6 +98,14 @@ class RunOptions:
     min_steps: int = 1000
     max_steps: int = 20000
     converge: bool = True
+
+    def __post_init__(self):
+        rate = self.steps_per_unit_time
+        if not (math.isfinite(rate) and rate > 0):
+            raise DomainError(f"steps_per_unit_time must be finite and positive, got {rate}")
+        if not 1 <= self.min_steps <= self.max_steps:
+            raise DomainError(f"need 1 <= min_steps <= max_steps, got "
+                              f"min_steps={self.min_steps}, max_steps={self.max_steps}")
 
     def stroke_steps(self, tau: float) -> int:
         raw = math.ceil(self.steps_per_unit_time * tau)

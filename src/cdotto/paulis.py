@@ -1,19 +1,17 @@
 """Exact algebra over N-site Pauli operators.
 
 Operators live as maps from letter patterns (tuples such as
-``('X', 'I', 'Z')``) to complex coefficients.  The product of two Pauli
-strings is a phase times a string, so commutators are computed term by
-term without any dense matrix; the dense realizations that propagation and
-thermal states need are real, as the medium's operators are.
-
-Bulk work runs on the binary symplectic form of the strings (Aaronson &
-Gottesman, PRA 70, 052328 (2004)): a pattern is i^{#Y} X^x Z^z for bit
-masks x (set by X and Y) and z (set by Z and Y), with site 0 the leading
-bit as in the Kronecker order, and #Y = popcount(x & z) since Y = i X Z.
-``i_commutator_table`` forms i[O_a, H] for a whole list of strings in one
-vectorized pass, each output string keyed by the integer (x << N) | z, and
-``dense_strings`` realizes weighted string sums by scattering each string's
-signed permutation,
+``('X', 'I', 'Z')``) to complex coefficients.  Letter patterns are the
+format; every product runs on the binary symplectic form of the strings
+(Aaronson & Gottesman, PRA 70, 052328 (2004)): a pattern is i^{#Y} X^x Z^z
+for bit masks x (set by X and Y) and z (set by Z and Y), with site 0 the
+leading bit as in the Kronecker order, and #Y = popcount(x & z) since
+Y = i X Z.  ``commutator`` and ``i_commutator_table`` take the products of
+all anticommuting string pairs from one vectorized rule, so no dense matrix
+is formed; the table holds i[O_a, H] for a whole list of strings, each
+output string keyed by the integer (x << N) | z.  The dense realizations
+that propagation and thermal states need are real, as the medium's
+operators are: ``dense_strings`` scatters each string's signed permutation,
 X^x Z^z |j> = (-1)^{popcount(j & z)} |j XOR x>.
 
 All values are immutable after construction and every operation is a
@@ -36,53 +34,12 @@ DENSE_SITE_CAP = 12
 
 LETTERS = ("I", "X", "Y", "Z")
 
-# Single-site products a * b == phase * letter.
-_MUL = {
-    ("I", "I"): (1.0 + 0.0j, "I"),
-    ("I", "X"): (1.0 + 0.0j, "X"),
-    ("I", "Y"): (1.0 + 0.0j, "Y"),
-    ("I", "Z"): (1.0 + 0.0j, "Z"),
-    ("X", "I"): (1.0 + 0.0j, "X"),
-    ("Y", "I"): (1.0 + 0.0j, "Y"),
-    ("Z", "I"): (1.0 + 0.0j, "Z"),
-    ("X", "X"): (1.0 + 0.0j, "I"),
-    ("Y", "Y"): (1.0 + 0.0j, "I"),
-    ("Z", "Z"): (1.0 + 0.0j, "I"),
-    ("X", "Y"): (1.0j, "Z"),
-    ("Y", "X"): (-1.0j, "Z"),
-    ("Y", "Z"): (1.0j, "X"),
-    ("Z", "Y"): (-1.0j, "X"),
-    ("Z", "X"): (1.0j, "Y"),
-    ("X", "Z"): (-1.0j, "Y"),
-}
-
-
 def _check_letters(letters: tuple[str, ...]) -> None:
     if not letters:
         raise DimensionError("a Pauli string needs at least one site")
     for s in letters:
         if s not in LETTERS:
             raise ValueError(f"unknown Pauli letter {s!r}")
-
-
-def _mul_letters(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[complex, tuple[str, ...]]:
-    phase = 1.0 + 0.0j
-    out = []
-    for sa, sb in zip(a, b):
-        ph, s = _MUL[(sa, sb)]
-        phase *= ph
-        out.append(s)
-    return phase, tuple(out)
-
-
-def _anticommute(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
-    # Strings anticommute iff they differ on an odd number of jointly
-    # non-identity sites.
-    count = 0
-    for sa, sb in zip(a, b):
-        if sa != "I" and sb != "I" and sa != sb:
-            count += 1
-    return count % 2 == 1
 
 
 class OperatorSum:
@@ -142,22 +99,6 @@ class OperatorSum:
         return f"OperatorSum({self._n_sites} sites: {shown}{more})"
 
 
-def commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    """[a, b] = ab - ba in canonical form.
-
-    Only anticommuting string pairs contribute, each as twice their product.
-    """
-    if a.n_sites != b.n_sites:
-        raise DimensionError(f"site counts differ: {a.n_sites} vs {b.n_sites}")
-    out: dict = {}
-    for pa, ca in a.terms.items():
-        for pb, cb in b.terms.items():
-            if _anticommute(pa, pb):
-                phase, pat = _mul_letters(pa, pb)
-                out[pat] = out.get(pat, 0.0 + 0.0j) + 2.0 * ca * cb * phase
-    return OperatorSum(a.n_sites, out)
-
-
 # i^k for k = 0..3, exact
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
@@ -181,29 +122,65 @@ def string_phases(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _I_POWERS[_popcount(x & z) % 4]
 
 
+def _patterns(x: np.ndarray, z: np.ndarray, n_sites: int) -> list[tuple[str, ...]]:
+    """Letter patterns of the strings (x, z), the inverse of ``pauli_masks``."""
+    bits = np.arange(n_sites - 1, -1, -1)
+    codes = ((x[:, None] >> bits) & 1) + 2 * ((z[:, None] >> bits) & 1)
+    return [tuple(row) for row in np.array(["I", "X", "Z", "Y"])[codes].tolist()]
+
+
+def _anticommuting_products(x, z, tx, tz):
+    """The products O_a O_t = i^k O_c of every anticommuting pair of strings.
+
+    O_a = (x[a], z[a]) and O_t = (tx[t], tz[t]) anticommute when
+    popcount(x_a & z_t) + popcount(z_a & x_t) is odd.  Returns the pairs
+    ``(rows, t)`` in row-major order, the product masks ``(xc, zc)`` =
+    (x_a ^ x_t, z_a ^ z_t) and the power k = y_a + y_t - y_c +
+    2 popcount(z_a & x_t), with y = popcount(x & z): moving Z^{z_a} past
+    X^{x_t} gives the sign, and the i^{#Y} of each string the rest.
+    """
+    odd = (_popcount(x[:, None] & tz) + _popcount(z[:, None] & tx)) & 1
+    rows, t = np.nonzero(odd)
+    xa, za, xt, zt = x[rows], z[rows], tx[t], tz[t]
+    xc, zc = xa ^ xt, za ^ zt
+    power = (_popcount(xa & za) + _popcount(xt & zt) - _popcount(xc & zc)
+             + 2 * _popcount(za & xt))
+    return rows, t, xc, zc, power
+
+
+def commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
+    """[a, b] = ab - ba in canonical form.
+
+    Only anticommuting string pairs contribute, each as twice their
+    product; the pairs are summed term of ``a`` by term of ``b``.
+    """
+    if a.n_sites != b.n_sites:
+        raise DimensionError(f"site counts differ: {a.n_sites} vs {b.n_sites}")
+    n = a.n_sites
+    rows, t, xc, zc, power = _anticommuting_products(*pauli_masks(a.terms, n),
+                                                     *pauli_masks(b.terms, n))
+    ca, cb = list(a.terms.values()), list(b.terms.values())
+    out: dict = {}
+    for i, j, pat, phase in zip(rows.tolist(), t.tolist(), _patterns(xc, zc, n),
+                                _I_POWERS[power % 4].tolist()):
+        out[pat] = out.get(pat, 0.0 + 0.0j) + 2.0 * ca[i] * cb[j] * phase
+    return OperatorSum(n, out)
+
+
 def i_commutator_table(x: np.ndarray, z: np.ndarray, h: OperatorSum):
     """Every nonzero term of i[O_a, H] for the unit strings O_a = (x[a], z[a]).
 
     ``h`` must be Hermitian (real coefficients).  Returns ``(rows, keys,
     values)`` ordered by row: i[O_a, H] is the sum of values * (the string
-    (x, z) with key (x << N) | z) over the entries with rows == a.  O_a and
-    a term O_t of H anticommute when popcount(x_a & z_t) + popcount(z_a & x_t)
-    is odd, and then, with c = a XOR t and y = popcount(x & z),
-
-        i[O_a, O_t] = 2i O_a O_t = 2 i^{1 + y_a + y_t - y_c} (-1)^{popcount(z_a & x_t)} O_c,
-
-    a power of i that is even because i[O_a, O_t] is Hermitian.  Pairs that
-    commute contribute nothing.
+    (x, z) with key (x << N) | z) over the entries with rows == a.  Each
+    anticommuting pair gives i[O_a, O_t] = 2i O_a O_t = 2 i^{1 + k} O_c
+    (``_anticommuting_products``), a power of i that is even because
+    i[O_a, O_t] is Hermitian.  Pairs that commute contribute nothing.
     """
     hx, hz = pauli_masks(h.terms, h.n_sites)
     coeffs = np.array([c.real for c in h.terms.values()])
-    odd = (_popcount(x[:, None] & hz) + _popcount(z[:, None] & hx)) & 1
-    rows, t = np.nonzero(odd)
-    xa, za, xt, zt = x[rows], z[rows], hx[t], hz[t]
-    xc, zc = xa ^ xt, za ^ zt
-    power = (1 + _popcount(xa & za) + _popcount(xt & zt) - _popcount(xc & zc)
-             + 2 * _popcount(za & xt))
-    values = 2.0 * coeffs[t] * (1 - power % 4)
+    rows, t, xc, zc, power = _anticommuting_products(x, z, hx, hz)
+    values = 2.0 * coeffs[t] * (1 - (1 + power) % 4)
     return rows, (xc << h.n_sites) | zc, values
 
 

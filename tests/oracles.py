@@ -2,16 +2,19 @@
 
 The dense-matrix oracles are built directly from numpy Kronecker products,
 independent of the symbolic algebra they validate.  ``exact_agp`` (the
-spectral gauge potential) is dense too.  ``solve_agp`` is the direct
-variational solve, one least-squares system per theta; it builds that
-system with the package's own Pauli algebra (and ``hs_inner``) and serves
-as the slow, plain reference for ``cdotto.agp.AgpSolver``.
-``string_build`` forms the solver's endpoint-form system the plain way,
-one symbolic commutator per string and m x m matrices, the reference for
-the solver's bit-mask build.  ``dense_stroke`` propagates a stroke with
-dense matrices, its own sweep profile and exponentials from scipy's
-``eigh`` (a LAPACK apart from numpy's), and integrates both parts of the
-work split, the reference for ``cdotto.dynamics.propagate_stroke``;
+spectral gauge potential) is dense too.  ``letter_commutator`` multiplies
+Pauli strings site by site from the single-letter product table, apart
+from the package's bit-mask rule, and is the reference for
+``cdotto.paulis.commutator`` and ``i_commutator_table``.  ``solve_agp`` is
+the direct variational solve, one least-squares system per theta, built
+from ``letter_commutator`` and ``hs_inner``; it is the slow, plain
+reference for ``cdotto.agp.AgpSolver``.  ``string_build`` forms the
+solver's endpoint-form system the plain way, one letter commutator per
+string and m x m matrices, the reference for the solver's bit-mask build.
+``dense_stroke`` propagates a stroke with dense matrices, its own sweep
+profile and exponentials from scipy's ``eigh`` (a LAPACK apart from
+numpy's), and integrates both parts of the work split, the reference for
+``cdotto.dynamics.propagate_stroke``;
 ``MirroredSweep`` hands that function the time-reversed grid to step.
 ``lz_cop`` is the two-level closed form of the coefficient of performance.
 ``symmetrized`` averages a state over every site permutation, the
@@ -27,7 +30,7 @@ from scipy.linalg.blas import dgemv, zgemm
 
 from cdotto.errors import DimensionError, DomainError
 from cdotto.model import StrokeGrid, SweepSpec, dh0_dtheta, h0_at
-from cdotto.paulis import OperatorSum, commutator
+from cdotto.paulis import OperatorSum
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -71,6 +74,64 @@ def dense_ising(n, h, b, couplings):
     for (j, k), val in couplings.items():
         out -= val * (site_op(j, Z) @ site_op(k, Z))
     return out
+
+
+# Single-site products a * b == phase * letter.
+_MUL = {
+    ("I", "I"): (1.0 + 0.0j, "I"),
+    ("I", "X"): (1.0 + 0.0j, "X"),
+    ("I", "Y"): (1.0 + 0.0j, "Y"),
+    ("I", "Z"): (1.0 + 0.0j, "Z"),
+    ("X", "I"): (1.0 + 0.0j, "X"),
+    ("Y", "I"): (1.0 + 0.0j, "Y"),
+    ("Z", "I"): (1.0 + 0.0j, "Z"),
+    ("X", "X"): (1.0 + 0.0j, "I"),
+    ("Y", "Y"): (1.0 + 0.0j, "I"),
+    ("Z", "Z"): (1.0 + 0.0j, "I"),
+    ("X", "Y"): (1.0j, "Z"),
+    ("Y", "X"): (-1.0j, "Z"),
+    ("Y", "Z"): (1.0j, "X"),
+    ("Z", "Y"): (-1.0j, "X"),
+    ("Z", "X"): (1.0j, "Y"),
+    ("X", "Z"): (-1.0j, "Y"),
+}
+
+
+def _mul_letters(a, b):
+    phase = 1.0 + 0.0j
+    out = []
+    for sa, sb in zip(a, b):
+        ph, s = _MUL[(sa, sb)]
+        phase *= ph
+        out.append(s)
+    return phase, tuple(out)
+
+
+def _anticommute(a, b):
+    # Strings anticommute iff they differ on an odd number of jointly
+    # non-identity sites.
+    count = 0
+    for sa, sb in zip(a, b):
+        if sa != "I" and sb != "I" and sa != sb:
+            count += 1
+    return count % 2 == 1
+
+
+def letter_commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
+    """[a, b] = ab - ba from the single-letter product table.
+
+    Only anticommuting string pairs contribute, each as twice their
+    product, summed term of ``a`` by term of ``b``.
+    """
+    if a.n_sites != b.n_sites:
+        raise DimensionError(f"site counts differ: {a.n_sites} vs {b.n_sites}")
+    out: dict = {}
+    for pa, ca in a.terms.items():
+        for pb, cb in b.terms.items():
+            if _anticommute(pa, pb):
+                phase, pat = _mul_letters(pa, pb)
+                out[pat] = out.get(pat, 0.0 + 0.0j) + 2.0 * ca * cb * phase
+    return OperatorSum(a.n_sites, out)
 
 
 def hs_inner(a: OperatorSum, b: OperatorSum) -> complex:
@@ -135,7 +196,7 @@ def solve_agp(basis, h0, dh0):
     solved in the minimum-norm least-squares sense.
     """
     assert basis.n_sites == h0.n_sites == dh0.n_sites
-    c_ops = [1.0j * commutator(OperatorSum(basis.n_sites, {pat: 1.0}), h0)
+    c_ops = [1.0j * letter_commutator(OperatorSum(basis.n_sites, {pat: 1.0}), h0)
              for pat in basis.strings]
     m = basis.size
     gram = np.empty((m, m))
@@ -179,7 +240,8 @@ def string_build(params, basis):
     """
     n = basis.n_sites
     dh0 = dh0_dtheta(params)
-    ops = [[1.0j * commutator(OperatorSum(n, {pat: 1.0}), h) for pat in basis.strings]
+    ops = [[1.0j * letter_commutator(OperatorSum(n, {pat: 1.0}), h)
+            for pat in basis.strings]
            for h in (h0_at(params, 0.0), h0_at(params, 1.0))]
     patterns = sorted(set().union(*(op.terms for row in ops for op in row), dh0.terms))
     col = {pat: i for i, pat in enumerate(patterns)}

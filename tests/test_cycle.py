@@ -51,6 +51,23 @@ class TestConfig:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             CycleConfig(params=EndpointParams.uniform(1), **{name: value})
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"steps_per_unit_time": math.nan}, "steps_per_unit_time"),
+        ({"steps_per_unit_time": math.inf}, "steps_per_unit_time"),
+        ({"steps_per_unit_time": -5.0}, "steps_per_unit_time"),
+        ({"steps_per_unit_time": 0.0, "min_steps": 0}, "steps_per_unit_time"),
+        ({"min_steps": 0}, "min_steps"),
+        ({"min_steps": 5000, "max_steps": 1000}, "min_steps"),
+    ])
+    def test_run_options_rejected(self, kwargs, match):
+        with pytest.raises(DomainError, match=match):
+            RunOptions(**kwargs)
+
+    def test_run_options_below_the_propagation_minimum_are_legal(self):
+        # the stroke, not RunOptions, refuses too few steps
+        opts = RunOptions(steps_per_unit_time=10, min_steps=10, max_steps=10)
+        assert opts.stroke_steps(1.0) == 10
+
     def test_order_above_site_count_is_clamped(self):
         cfg = uniform_cfg(2, 4)
         assert cfg.effective_p == 2

@@ -10,7 +10,7 @@ from cdotto.agp import build_basis
 from cdotto.errors import CapacityError, DimensionError, DomainError
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
 from cdotto.paulis import OperatorSum, commutator, i_commutator_table, pauli_masks, to_dense
-from oracles import hs_inner
+from oracles import hs_inner, letter_commutator
 
 from test_model import disordered_params
 
@@ -99,6 +99,38 @@ class TestCommutator:
                                         for _ in range(4)}) for _ in range(2))
                 check(a, b)
 
+    def test_matches_the_letter_rule(self):
+        # the bit-mask rule against the oracles' single-letter table: the
+        # same patterns in the same order and == on every coefficient.  The
+        # random complex sums hold up to 16 terms over all four letters, so
+        # that at small N many pairs land on one string and the order of
+        # the sum shows; some hold the identity string.  Each sum against
+        # itself and against the identity alone gives nothing, as do sums
+        # of I and Z only, which have no anticommuting pair.
+        def same(a, b):
+            got = commutator(a, b)
+            assert list(got.terms.items()) == list(letter_commutator(a, b).terms.items())
+            return got
+
+        def random_sum(n, letters="IXYZ"):
+            return OperatorSum(n, {tuple(rng.choice(list(letters), n)):
+                                   complex(*rng.standard_normal(2))
+                                   for _ in range(rng.integers(1, 17))})
+
+        rng = np.random.default_rng(29)
+        nonempty = 0
+        for n in range(1, 6):
+            identity = OperatorSum(n, {("I",) * n: complex(*rng.standard_normal(2))})
+            for _ in range(30):
+                a, b = random_sum(n), random_sum(n)
+                if rng.random() < 0.5:
+                    a = OperatorSum(n, [*a.terms.items(), *identity.terms.items()])
+                nonempty += same(a, b).n_terms > 0
+                assert not same(a, a).terms
+                assert not same(identity, b).terms and not same(b, identity).terms
+                assert not same(random_sum(n, "IZ"), random_sum(n, "IZ")).terms
+        assert nonempty >= 100
+
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
             commutator(OperatorSum(1, {("X",): 1.0}), OperatorSum(2, {("X", "I"): 1.0}))
@@ -154,7 +186,7 @@ class TestMaskKernel:
                 for row, code, value in zip(rows, codes, values):
                     table.setdefault(int(row), {})[code_letters(code, n)] = value
                 for a, pat in enumerate(basis.strings):
-                    c = 1j * commutator(OperatorSum(n, {pat: 1.0}), h)
+                    c = 1j * letter_commutator(OperatorSum(n, {pat: 1.0}), h)
                     assert table.get(a, {}) == {k: v.real for k, v in c.terms.items()}
                     assert all(v.imag == 0.0 for v in c.terms.values())
 
