@@ -18,9 +18,14 @@ gram is quadratic in theta and v constant: [H0(theta), dH0/dtheta] is
 block of a stroke grid per call, and keeps none of the solutions.  As the
 gram is quadratic in theta, beta(theta) is a rational function whose 2r
 poles are the eigenvalues of one 2r x 2r companion matrix (Tisseur &
-Meerbergen, SIAM Rev. 43, 235 (2001)): one eigendecomposition per solver
-then gives each theta's solution at O(r^2), the same solution rather than
-an approximation.
+Meerbergen, SIAM Rev. 43, 235 (2001)).  Where signs S = +-1 on the
+reduced coordinates grade the system (S R0 S = R0, S R2 S = R2 and
+S R1 S = -R1 for the gram's endpoint terms R_k), a diagonal rescaling
+collapses that problem to an r x r pencil.  The paper's protocol, an X
+field at theta = 0 going to Z fields and ZZ couplings at theta = 1, is
+graded by S = (-1)^(number of X letters) of each string.  Either way one
+eigendecomposition per solver then gives each theta's solution at
+O(r^2), the same solution rather than an approximation.
 The commutators of all strings come from one vectorized pass over
 their binary (x, z) masks (``cdotto.paulis.i_commutator_table``), as a
 sparse table of string, pattern and coefficient.  The solver builds and
@@ -113,6 +118,51 @@ def _endpoint_weights(thetas) -> np.ndarray:
     return np.concatenate([s * s, t * s, t * t], axis=-1)
 
 
+def _grading(r0: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray | None:
+    """Signs s = +-1 with s R0 s = R0, s R2 s = R2 and s R1 s = -R1 exactly, or None.
+
+    The nonzeros of R0 and R2 join coordinates of one sign, those of R1
+    coordinates of opposite signs: each coordinate takes the sign relative
+    to the lowest coordinate it is joined to, spread by label propagation
+    over the nonzeros, and the signs found are then checked entry by entry.
+    """
+    even, odd = (r0 != 0) | (r2 != 0), r1 != 0
+    rows, cols = np.nonzero(even | odd)
+    flip = odd[rows, cols].astype(np.intp)
+    key = 2 * np.arange(len(r0))  # 2 * lowest joined coordinate + relative sign bit
+    while True:
+        new = key.copy()
+        np.minimum.at(new, rows, key[cols] ^ flip)
+        if np.array_equal(new, key):
+            break
+        key = new
+    signs = 1.0 - 2.0 * (key & 1)
+    same = np.outer(signs, signs) > 0
+    if r0[~same].any() or r2[~same].any() or r1[same].any():
+        return None
+    return signs
+
+
+def _real_pairs(mu: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real eigenvector columns and each column's partner within its complex pair.
+
+    Each pair mu, conj(mu) with vectors p +- iq becomes the columns (p, q);
+    a real eigenvalue's column is its own partner.  Raises ``LinAlgError``
+    when an eigenvalue is left unpaired.
+    """
+    # LAPACK returns each complex pair as neighbours, positive imaginary part first
+    first = np.flatnonzero(mu.imag > 0)
+    second = first + 1
+    if (2 * len(first) != np.count_nonzero(mu.imag) or second.max(initial=0) >= len(mu)
+            or np.any(mu[second] != mu[first].conj())):
+        raise np.linalg.LinAlgError("eigenvalues of the gram pencil left unpaired")
+    partner = np.arange(len(mu))
+    partner[first], partner[second] = second, first
+    v = vecs.real.copy()
+    v[:, second] = vecs[:, first].imag
+    return v, partner
+
+
 class AgpSolver:
     """Per-theta variational solutions for a fixed model and ansatz.
 
@@ -144,11 +194,21 @@ class AgpSolver:
     R(theta) = q^T P(theta) q, for a vector of theta.  Its first rung is a
     spectral factorization of the pencil, built once on first use (or by
     ``factorize``, which ``cycle.run_cycle`` calls before the dense
-    states): with t = theta - 1/2, R(theta) = Gc + t G1 + t^2 K2, and one
-    ``eig`` of a companion matrix gives R(theta)^-1 = V_top (I + t Lambda)^-1 Y
-    in real factors (``_pencil_factors``).  Each theta costs a few products
-    with r x 2r factors and two refinements against the residual
-    R(theta) beta - u.  The thetas of a call are one block, and each of
+    states), never at build.  ``factorize`` first looks for a grading of
+    the R_k (``_grading``), which every endpoint pair of the paper's
+    protocol (b_i = J_i = h_f = 0) has.  With one, a single ``eig`` of an
+    r x r matrix gives R(theta)^-1 in real factors split by the grading's
+    two classes (``_graded_factors``), and each theta costs a few products
+    with them, about 2 r^2 flops each.  Without one, with t = theta - 1/2,
+    R(theta) = Gc + t G1 + t^2 K2, and one ``eig`` of the 2r x 2r companion
+    matrix gives R(theta)^-1 = V_top (I + t Lambda)^-1 Y
+    (``_companion_factors``), with r x 2r factors at 4 r^2 flops per
+    product.  The graded factors hold 2 r^2 doubles, the companion's 4 r^2,
+    and the companion's build passes through 2r x 2r arrays: 4.6 s and a
+    peak RSS of 291 MB at disordered N = 6, p = 4 (r = 926), against 0.7 s
+    and 138 MB graded (in process, one BLAS thread).  Either way each theta
+    ends with two refinements against the residual R(theta) beta - u.
+    The thetas of a call are one block, and each of
     these products, the residual check's included, is one matrix-matrix
     product over the block's rows.  So a solution depends on its block in
     the last bits, as the order of a product's sums depends on its shape:
@@ -187,7 +247,7 @@ class AgpSolver:
         self.params = params
         self.basis = basis
         self.fallbacks = self.direct_solves = 0
-        self.factor_s = self._pencil = self._stack = None
+        self.factor_s = self.pencil_size = self._pencil = self._grades = self._stack = None
 
         n = params.n_sites
         self._masks = x, z = pauli_masks(basis.strings, n)
@@ -256,9 +316,11 @@ class AgpSolver:
     def factorize(self) -> None:
         """Build the spectral factorization of the reduced gram pencil, once per solver.
 
-        ``factor_s`` records the build's wall time.  A build that fails
-        (``_pencil_factors`` raises ``LinAlgError``) leaves no factorization,
-        and every theta then takes the direct path.
+        ``factor_s`` records the build's wall time and ``pencil_size`` the
+        size of the factored pencil: r where the system is graded
+        (``_grading``), 2r for the companion matrix otherwise, 0 when the
+        build fails (``_pencil_factors`` raises ``LinAlgError``), which
+        leaves no factorization, and every theta then takes the direct path.
         """
         if self.factor_s is not None:
             return
@@ -267,9 +329,67 @@ class AgpSolver:
             self._pencil = self._pencil_factors()
         except np.linalg.LinAlgError:
             self._pencil = None
+        self.pencil_size = 0 if self._pencil is None else len(self._pencil[-1])
         self.factor_s = time.perf_counter() - t0
 
     def _pencil_factors(self):
+        """The graded factors where ``_grading`` finds a grading, else the companion's.
+
+        Sets ``_grades`` to the grading's classes A (sign +1) and B (-1) as
+        index arrays, or to None.  Raises ``LinAlgError`` when Gc = R(1/2)
+        is not positive definite, an eigenvalue is left unpaired or a factor
+        is not finite.
+        """
+        r0, r1, r2 = self._r
+        gc = 0.25 * (r0 + r1 + r2)
+        np.linalg.cholesky(gc)  # a singular Gc (a zero gram at theta = 1/2) has no factors
+        signs = _grading(r0, r1, r2)
+        self._grades = None if signs is None else (np.flatnonzero(signs > 0),
+                                                   np.flatnonzero(signs < 0))
+        if self._grades is None:
+            return self._companion_factors(gc)
+        return self._graded_factors(gc)
+
+    def _graded_factors(self, gc):
+        """Real factors of the r x r pencil a^2 P + b^2 Q of a graded system.
+
+        With a = 1 - theta, b = theta and E = diag(I_A, (a/b) I_B) on the
+        grading's classes A and B, E R(theta) E^-1 = a^2 P + b^2 Q with
+        P = [[R0_AA, 0], [R1_BA, R0_BB]] and Q = [[R2_AA, R1_AB], [0, R2_BB]],
+        and P + Q = 4 Gc = M.  One ``eig`` of W = M^-1 Q = V Lambda V^-1
+        gives a^2 P + b^2 Q = M V (a^2 (I - Lambda) + b^2 Lambda) V^-1, so
+        R(theta)^-1 = E^-1 V D(theta)^-1 Y E with Y = V^-1 M^-1.  Complex
+        pairs become real columns and 2 x 2 blocks as in
+        ``_companion_factors``.  Returns, each as an (A, B) pair, the rows
+        of Y^T and of V (transposed) and Y_A u_A, Y_B u_B; then, per column,
+        1 - Re lambda, Re lambda and Im lambda (the conjugate's for the
+        second of a pair); K = Lambda (I - Lambda)^-1 and K^-1, each in real
+        and imaginary parts; the thetas below and above which the couplings
+        take their K forms (``_graded_block``); and each column's partner.
+        """
+        ia, ib = self._grades
+        r0, r1, r2 = self._r
+        q = r2.copy()
+        q[ia] += r1[ia]  # R1_AA = 0: only R1_AB joins the rows of A
+        m = 4.0 * gc
+        lam, vecs = np.linalg.eig(np.linalg.solve(m, q))
+        del q
+        v, partner = _real_pairs(lam, vecs)
+        del vecs
+        yt = np.linalg.inv(m @ v).T  # Y = (M V)^-1
+        yt, vt = (yt[ia], yt[ib]), (np.ascontiguousarray(v[ia].T), np.ascontiguousarray(v[ib].T))
+        yu = (self._u[ia] @ yt[0], self._u[ib] @ yt[1])
+        if not all(np.isfinite(f).all() for f in (*yt, *vt, *yu, lam)):
+            raise np.linalg.LinAlgError("non-finite factors of the gram pencil")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = lam / (1.0 - lam), (1.0 - lam) / lam
+            # the thetas below and above which a coupling takes its K form
+            bounds = (1.0 / (1.0 + np.sqrt(np.abs(k[0]).max())),
+                      1.0 / (1.0 + 1.0 / np.sqrt(np.abs(k[1]).max())))
+        parts = 1.0 - lam.real, lam.real, lam.imag
+        return yt, vt, yu, parts, tuple((x.real, x.imag) for x in k), bounds, partner
+
+    def _companion_factors(self, gc):
         """Real factors of R(theta)^-1 = V_top (I + t Lambda)^-1 Y, t = theta - 1/2.
 
         R(theta) = Gc + t G1 + t^2 K2 = Gc (I + t A + t^2 B), and the top
@@ -280,13 +400,10 @@ class AgpSolver:
         and Y = (V^-1)[:, :r] Gc^-1 (2r x r) are real.  Returns V_top^T,
         Y^T, Y u, the diagonal a of Lambda, its off-diagonal coupling c (-b,
         +b within a pair, 0 for a real eigenvalue) and each column's
-        partner.  Raises ``LinAlgError`` when Gc is not positive definite,
-        an eigenvalue is left unpaired or a factor is not finite.
+        partner.
         """
         r = self._n_orbits
         r0, r1, r2 = self._r
-        gc = 0.25 * (r0 + r1 + r2)
-        np.linalg.cholesky(gc)  # a singular Gc (a zero gram at theta = 1/2) has no factors
         comp = np.zeros((2 * r, 2 * r))
         comp[:r, :r] = r2 - r0
         comp[:r, r:] = r0 - r1 + r2
@@ -296,19 +413,11 @@ class AgpSolver:
         # each 2r x 2r array goes as soon as it is used: the build's transient
         # sets the peak RSS of a disordered point
         del comp
-        # LAPACK returns each complex pair as neighbours, positive imaginary part first
-        first = np.flatnonzero(mu.imag > 0)
-        second = first + 1
-        if (2 * len(first) != np.count_nonzero(mu.imag) or second.max(initial=0) >= 2 * r
-                or np.any(mu[second] != mu[first].conj())):
-            raise np.linalg.LinAlgError("eigenvalues of the gram pencil left unpaired")
-        partner = np.arange(2 * r)
-        partner[first], partner[second] = second, first
-        coupling = np.zeros(2 * r)
-        coupling[first], coupling[second] = -mu[first].imag, mu[first].imag
-        v = vecs.real.copy()
-        v[:, second] = vecs[:, first].imag
+        v, partner = _real_pairs(mu, vecs)
         del vecs
+        first = np.flatnonzero(partner > np.arange(2 * r))
+        coupling = np.zeros(2 * r)
+        coupling[first], coupling[partner[first]] = -mu[first].imag, mu[first].imag
         x = np.linalg.solve(v, np.eye(2 * r, r))  # (V^-1)[:, :r]
         vt = np.ascontiguousarray(v[:r].T)
         del v
@@ -317,6 +426,83 @@ class AgpSolver:
         if not all(np.isfinite(f).all() for f in (vt, yt, yu, a, coupling)):
             raise np.linalg.LinAlgError("non-finite factors of the gram pencil")
         return vt, yt, yu, a, coupling, partner
+
+    def _graded_block(self, thetas: np.ndarray):
+        """Unrefined solutions of a block and its map z -> R(theta)^-1 z, from the graded factors.
+
+        With g_A = Y_A z_A, g_B = Y_B z_B and d = a^2 (1 - lambda) + b^2 lambda
+        per eigenvalue, R(theta)^-1 z has the parts
+        beta_A = V_A D^-1 (g_A + (a/b) g_B) and beta_B = V_B D^-1 (g_B + (b/a) g_A).
+        As [P^-1]_AB = V_A (I - Lambda)^-1 Y_B = 0 and
+        [Q^-1]_BA = V_B Lambda^-1 Y_A = 0, the couplings (a/b) g_B and
+        (b/a) g_A equal -(b/a) K g_B, K = Lambda (I - Lambda)^-1, and
+        -(a/b) K^-1 g_A.  Each coupling takes the form with the smaller
+        bound on its factor, a/b against (b/a) max |K| and b/a against
+        (a/b) max |K^-1|: the K form for theta below 1 / (1 + sqrt(max |K|))
+        and for theta above 1 / (1 + 1 / sqrt(max |K^-1|)) respectively,
+        where a/b or b/a diverges, so theta = 0 and 1 need no limit; the
+        plain form elsewhere, where K or K^-1 would blow up an
+        ill-conditioned R0 or R2.  A complex coefficient f acts on the
+        columns of a pair as the 2 x 2 block [[Re f, Im f], [-Im f, Re f]].
+        """
+        (yta, ytb), (vta, vtb), (yua, yub), (one_re, lam_re, lam_im), (k_ab, k_ba), \
+            (low, high), partner = self._pencil
+        ia, ib = self._grades
+        n, r = len(thetas), self._n_orbits
+        a, b = 1.0 - thetas[:, None], thetas[:, None]
+        aa, bb = a * a, b * b
+        # 1/d in real and imaginary parts, d in the endpoint form of R(theta)
+        d_re, d_im_neg = aa * one_re + bb * lam_re, (aa - bb) * lam_im
+        den = d_re * d_re + d_im_neg * d_im_neg
+        inv_re, inv_im = d_re / den, d_im_neg / den
+        del d_re, d_im_neg, den  # the block's work arrays count against _solve_rows
+        # per theta, the factors of each coupling's plain form and of its K form
+        swap_ab, swap_ba = b < low, b > high
+        any_ab, any_ba = swap_ab.any(), swap_ba.any()
+        plain_ab, plain_ba = np.where(swap_ab, 0.0, a / b), np.where(swap_ba, 0.0, b / a)
+        form_ab, form_ba = np.where(swap_ab, -b / a, 0.0), np.where(swap_ba, -a / b, 0.0)
+
+        def mix(re, im, g):
+            return re * g + im * g[..., partner]
+
+        def back(ga, gb):
+            h = np.empty((2, n, r))
+            np.multiply(plain_ab, gb, out=h[0])
+            h[0] += ga
+            np.multiply(plain_ba, ga, out=h[1])
+            h[1] += gb
+            if any_ab:
+                h[0] += form_ab * mix(*k_ab, gb)
+            if any_ba:
+                h[1] += form_ba * mix(*k_ba, ga)
+            del ga, gb
+            # D^-1 h in place
+            hp = h[..., partner]
+            h *= inv_re
+            hp *= inv_im
+            h += hp
+            del hp
+            beta = np.empty((n, r))
+            beta[:, ia] = h[0] @ vta
+            beta[:, ib] = h[1] @ vtb
+            return beta
+
+        return back(yua, yub), lambda z: back(z[:, ia] @ yta, z[:, ib] @ ytb)
+
+    def _companion_block(self, thetas: np.ndarray):
+        """Unrefined solutions of a block and its map z -> R(theta)^-1 z, from the companion factors."""
+        vt, yt, yu, a, coupling, partner = self._pencil
+        t = thetas[:, None] - 0.5
+        diag, off = 1.0 + t * a, t * coupling
+        # the 2 x 2 blocks [[d, o], [-o, d]] of I + t Lambda inverted in closed form
+        den = diag * diag + off * off
+        diag, off = diag / den, off / den
+
+        def back(z):
+            """V_top (I + t Lambda)^-1 z for each theta, z one row per theta or one for all."""
+            return (diag * z + off * z[..., partner]) @ vt
+
+        return back(yu), lambda z: back(z @ yt)
 
     def _spectral_batch(self, thetas: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Spectral solutions, refined twice against the reduced residual R(theta) beta - u.
@@ -328,20 +514,10 @@ class AgpSolver:
         The thetas are one block: each product is a matrix-matrix product
         over all its rows.
         """
-        vt, yt, yu, a, coupling, partner = self._pencil
-        t = thetas[:, None] - 0.5
-        diag, off = 1.0 + t * a, t * coupling
-        # the 2 x 2 blocks [[d, o], [-o, d]] of I + t Lambda inverted in closed form
-        den = diag * diag + off * off
-        diag, off = diag / den, off / den
-
-        def apply(z):
-            """V_top (I + t Lambda)^-1 z for each theta, z one row per theta or one for all."""
-            return (diag * z + off * z[..., partner]) @ vt
-
-        beta = apply(yu)
+        block = self._companion_block if self._grades is None else self._graded_block
+        beta, apply = block(thetas)
         for _ in range(2):
-            beta = beta - apply(self._residual(weights, beta) @ yt)
+            beta = beta - apply(self._residual(weights, beta))
         return beta
 
     def _gram(self, theta: float) -> np.ndarray:

@@ -208,8 +208,8 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
     the stroke layers (``dynamics.LAYERS``, summed over every call of every
     pass), the AGP fallbacks and direct solves of the final pass's calls,
     the wall time of the solver's spectral factorization (built once, before
-    the dense states) and, per step-doubling pass, the pumped heat and the
-    steps of both strokes.
+    the dense states) and the size of the pencil it factored, and, per
+    step-doubling pass, the pumped heat and the steps of both strokes.
     With ``converge`` (see ``RunOptions`` for the pass schedule) they also
     carry ``qc_error``, |Qc change| / 3 over the last two passes: the
     second-order Richardson estimate of the reported ``Qc``'s error.  It is
@@ -278,6 +278,7 @@ def run_cycle(cfg: CycleConfig, options: RunOptions | None = None) -> CycleRepor
         "agp_fallbacks": sum(call.diagnostics.agp_fallbacks for call in calls),
         "agp_direct": sum(call.diagnostics.agp_direct for call in calls),
         "agp_factor_s": solver.factor_s if solver is not None else 0.0,
+        "agp_pencil": solver.pencil_size if solver is not None else 0,
         "endpoint_gap": ref.endpoint_gap,
         "e_a": e_a, "e_b": e_b, "e_c": e_c, "e_d": e_d,
         "pass_qc": pass_qc,

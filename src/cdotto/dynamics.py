@@ -44,6 +44,7 @@ per chunk and 23 thetas per block.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -86,6 +87,22 @@ def _step_bytes(dim: int) -> int:
     return 7 * 16 * dim * dim
 
 
+@functools.cache
+def _taylor_blocks(m: int) -> np.ndarray:
+    """The 1/i! of the degree-m Taylor polynomial as Paterson-Stockmeyer blocks.
+
+    Row j holds 1/(jq + i)! for i < q, q = isqrt(m) + 1, zero past degree
+    m: the (m // q + 1, q) coefficient table of ``_step_unitaries``, made
+    once per degree and read-only.
+    """
+    q = math.isqrt(m) + 1
+    coef = np.zeros((m // q + 1) * q)
+    coef[:m + 1] = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, m + 1)])
+    coef = coef.reshape(-1, q)
+    coef.setflags(write=False)
+    return coef
+
+
 def _step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     """The step unitaries exp(-i dt H_k) of a (K, d, d) stack of Hamiltonians.
 
@@ -95,10 +112,10 @@ def _step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     degree whose term bound (nu / 2^s)^(m+1) / (m+1)! is at most 2^-56, the
     degree-m polynomial of X is summed by Paterson-Stockmeyer and squared s
     times.  With the powers X .. X^q, q = isqrt(m) + 1, Horner in X^q runs
-    over the r + 1 = m // q + 1 coefficient blocks sum_{i<q} X^i / (jq+i)!,
-    each one ``tensordot`` of the powers.  The dropped tail is below
-    1.2 * 2^-56 before the squarings, and p(X)^T = p(X^T), so the stack of
-    the H_k^T gives the transposed unitaries.  Steps with non-finite
+    over the r + 1 = m // q + 1 coefficient blocks sum_{i<q} X^i / (jq+i)!
+    (``_taylor_blocks``), each one ``np.dot`` of the powers.  The dropped
+    tail is below 1.2 * 2^-56 before the squarings, and p(X)^T = p(X^T),
+    so the stack of the H_k^T gives the transposed unitaries.  Steps with non-finite
     entries do not enter nu and come out non-finite.
     """
     norms = np.abs(h).sum(axis=1).max(axis=1)
@@ -109,11 +126,8 @@ def _step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     m, term = 0, nu
     while term > 2.0 ** -56:
         m, term = m + 1, term * nu / (m + 2)
-    q = math.isqrt(m) + 1
-    r = m // q
-    coef = np.zeros((r + 1) * q)
-    coef[:m + 1] = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, m + 1)])
-    coef = coef.reshape(r + 1, q)
+    coef = _taylor_blocks(m)
+    r, q = coef.shape[0] - 1, coef.shape[1]
     k, d = h.shape[:2]
     powers = np.empty((q, k, d, d), dtype=complex)
     np.multiply(h, -1j * dt * 0.5 ** s, out=powers[0])
@@ -123,7 +137,9 @@ def _step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     for j in range(r, -1, -1):
         if j < r:
             u = u @ powers[q - 1]
-        u += np.tensordot(coef[j, 1:], powers[:q - 1], 1)
+        # the np.dot that np.tensordot(coef[j, 1:], powers[:q - 1], 1) makes, same bits
+        u += np.dot(coef[j, 1:].reshape(1, q - 1),
+                    powers[:q - 1].reshape(q - 1, k * d * d)).reshape(k, d, d)
         u.reshape(k, d * d)[:, ::d + 1] += coef[j, 0]
     for _ in range(s):
         u = u @ u
@@ -134,9 +150,11 @@ def _solve_rows(r: int) -> int:
     """Thetas per block of a stroke's AGP solve, for a solver of r reduced coordinates.
 
     The block's work arrays, about sixteen r-long vectors per theta (the
-    2r-long factors of the spectral solve and the three R_k beta of its
-    residual), must fit in ``CHUNK_BYTES``: 23 thetas at r = 175, the whole
-    of a 1000-step stroke at r <= 4.
+    2r-long vectors of the companion solve, or the pairs of r-long ones,
+    one per class of the grading, that a graded solve holds in their
+    place, and the three R_k beta of the residual), must fit in
+    ``CHUNK_BYTES``: 23 thetas at r = 175, the whole of a 1000-step stroke
+    at r <= 4.
     """
     return max(1, CHUNK_BYTES // (8 * 16 * r))
 

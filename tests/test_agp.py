@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from cdotto.agp import LSTSQ_RCOND, AgpSolver, _endpoint_weights, build_basis, orbit_partition
+from cdotto import agp
+from cdotto.agp import (LSTSQ_RCOND, AgpSolver, _endpoint_weights, _grading, build_basis,
+                        orbit_partition)
 from cdotto.errors import DimensionError, DomainError
 from cdotto.model import EndpointParams, dh0_dtheta, h0_at
 from cdotto.paulis import OperatorSum, commutator
@@ -451,6 +453,110 @@ class TestSpectralSolve:
             assert thetas == [0.5] and solver.fallbacks == 1
             np.testing.assert_array_equal(betas[1], 0.0)
             thetas.clear()
+
+
+def graded_params(n, seed=3):
+    """Seeded site-dependent endpoints of the paper's protocol: b_i = J_i = h_f = 0.
+
+    An X field at theta = 0 and Z fields with ZZ couplings at theta = 1,
+    drawn as ``test_model.disordered_params`` draws its nonzero ones.
+    """
+    rng = np.random.default_rng(seed)
+    n_pairs = n * (n - 1) // 2
+    return EndpointParams(h_i=0.2 + 0.03 * rng.standard_normal(n), b_i=np.zeros(n),
+                          j_i=np.zeros(n_pairs), h_f=np.zeros(n),
+                          b_f=0.5 + 0.04 * rng.standard_normal(n),
+                          j_f=0.1 + 0.02 * rng.standard_normal(n_pairs))
+
+
+GRADED_CASES = ([("uniform", n, p) for n in range(1, 7) for p in range(1, min(n, 4) + 1)]
+                + [("graded", n, p) for n in range(2, 6) for p in range(1, n + 1)])
+
+
+def graded_solver(kind, n, p):
+    params = EndpointParams.uniform(n) if kind == "uniform" else graded_params(n)
+    return AgpSolver(params, build_basis(n, p))
+
+
+def is_grading(signs, r0, r1, r2):
+    """Whether s R0 s == R0, s R2 s == R2 and s R1 s == -R1, entry by entry."""
+    flip = np.outer(signs, signs)
+    return (np.array_equal(flip * r0, r0) and np.array_equal(flip * r2, r2)
+            and np.array_equal(flip * r1, -r1))
+
+
+class TestGradedPencil:
+    """The r x r pencil of graded systems against the 2r x 2r companion and the direct path."""
+
+    @pytest.mark.parametrize("kind,n,p", GRADED_CASES,
+                             ids=[f"{k}-N{n}-p{p}" for k, n, p in GRADED_CASES])
+    def test_matches_the_companion_and_direct_paths(self, kind, n, p, monkeypatch):
+        # the tolerance of TestSpectralSolve::test_matches_the_direct_path
+        solver = graded_solver(kind, n, p)
+        betas = solver.reduced_batch(SPECTRAL_THETAS)
+        r = solver._n_orbits
+        assert solver._grades is not None and solver.pencil_size == r
+        monkeypatch.setattr(agp, "_grading", lambda r0, r1, r2: None)
+        companion = graded_solver(kind, n, p)
+        want = companion.reduced_batch(SPECTRAL_THETAS)
+        assert companion._grades is None and companion.pencil_size == 2 * r
+        direct = graded_solver(kind, n, p)
+        for theta, beta, other in zip(SPECTRAL_THETAS, betas, want):
+            weights = ((1 - theta) ** 2, theta * (1 - theta), theta ** 2)
+            tol = max(1e-9, 1e-16 * np.linalg.cond(np.tensordot(weights, solver._r, 1)))
+            for ref in (other, direct._direct(theta)):
+                assert np.linalg.norm(beta - ref) <= tol * np.linalg.norm(ref), theta
+        assert solver.direct_solves == companion.direct_solves == 0
+        assert direct.fallbacks == solver.fallbacks == companion.fallbacks == 0
+
+    @pytest.mark.parametrize("kind,n,p", GRADED_CASES,
+                             ids=[f"{k}-N{n}-p{p}" for k, n, p in GRADED_CASES])
+    def test_grading_is_found(self, kind, n, p):
+        solver = graded_solver(kind, n, p)
+        signs = _grading(*solver._r)
+        assert signs is not None and is_grading(signs, *solver._r)
+        # the protocol's own grading: (-1)^(number of X letters) of each
+        # coordinate's strings, which one orbit shares
+        first = np.unique(solver._slots, return_index=True)[1]
+        x_parity = np.array([(-1.0) ** solver.basis.strings[a].count("X") for a in first])
+        assert is_grading(x_parity, *solver._r)
+        if (kind, n, p) == ("graded", 5, 3):
+            assert np.count_nonzero(signs > 0) == 95 and len(signs) == 175
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_grading_is_refused(self, n):
+        # b_i and h_f != 0 (tests/test_model.disordered_params), and J_i != 0
+        for params in (disordered_params(n), EndpointParams.uniform(n, j_i=0.1)):
+            for p in range(1, min(n, 3) + 1):
+                solver = AgpSolver(params, build_basis(n, p))
+                assert _grading(*solver._r) is None
+                solver.factorize()
+                assert solver._grades is None and solver.pencil_size == 2 * solver._n_orbits
+        # one entry of R1 inside a block, where R0 joins the two coordinates
+        r0, r1, r2 = graded_solver("graded", n, 2)._r
+        signs = _grading(r0, r1, r2)
+        i, j = next((i, j) for i, j in zip(*np.nonzero(r0)) if i != j)
+        assert signs[i] == signs[j] and r1[i, j] == 0
+        bad = r1.copy()
+        bad[i, j] = 1e-3 * np.abs(r1).max()
+        assert _grading(r0, bad, r2) is None
+
+    def test_graded_solver_makes_one_r_by_r_eig(self, monkeypatch):
+        eig, calls = np.linalg.eig, []
+
+        def counting_eig(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        for params, p, r in ((graded_params(3), 2, 15), (EndpointParams.uniform(6), 4, 13)):
+            solver = AgpSolver(params, build_basis(params.n_sites, p))
+            assert solver._n_orbits == r and calls == [] and solver.factor_s is None
+            solver.reduced_batch([0.3])
+            solver.reduced_batch(SPECTRAL_THETAS)
+            solver.factorize()
+            assert calls == [(r, r)] and solver.factor_s > 0 and solver.pencil_size == r
+            calls.clear()
 
 
 class TestReducedCoordinates:

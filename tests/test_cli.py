@@ -64,6 +64,8 @@ class TestRun:
             assert pt["qc_error"] is None
             assert pt["wall_s"] > 0 and pt["agp_fallbacks"] == pt["agp_direct"] == 0
             assert pt["agp_factor_s"] >= 0.0
+            # one orbit at p = 1, a graded system: its pencil is r x r; none at p = 0
+            assert pt["agp_pencil"] == (1 if ",p=1," in pt["label"] else 0)
             assert isinstance(pt["endpoint_gap"], float) and "gap_flag" not in pt
             assert pt["trace_drift"] <= 1e-10 and pt["purity_drift"] <= 1e-10
         progress = [line for line in capsys.readouterr().err.splitlines()
